@@ -15,7 +15,6 @@ from .degseq import (
     is_graphical,
     is_multigraphical,
     lay_off_graphical,
-    lay_off_multigraphical,
     parse_sequence,
 )
 from .graphstore import (
@@ -27,7 +26,7 @@ from .graphstore import (
     GraphError,
     LabeledMultigraph,
 )
-from .labeling import TemporalLabeling, label_plain_tree, pivot_label
+from .labeling import TemporalLabeling, pivot_label
 from .realize import (
     Decision,
     RealizeResult,
@@ -44,12 +43,16 @@ from .realize import (
 )
 from .verify import (
     OracleCapError,
+    certificate_violation,
     earliest_arrival,
     enumerate_sequences,
     is_proper,
     is_simple,
     is_tc,
     oracle_tc_realizable_sequence,
+    properness_violation,
+    simplicity_violation,
+    tc_violation,
     validate_certificate,
 )
 
@@ -65,7 +68,6 @@ __all__ = [
     "is_graphical",
     "is_multigraphical",
     "lay_off_graphical",
-    "lay_off_multigraphical",
     "parse_sequence",
     # graphstore
     "FLAG_NONE",
@@ -77,7 +79,6 @@ __all__ = [
     "LabeledMultigraph",
     # labeling
     "TemporalLabeling",
-    "label_plain_tree",
     "pivot_label",
     # realize
     "Decision",
@@ -94,11 +95,15 @@ __all__ = [
     "realize_tc",
     # verify
     "OracleCapError",
+    "certificate_violation",
     "earliest_arrival",
     "enumerate_sequences",
     "is_proper",
     "is_simple",
     "is_tc",
     "oracle_tc_realizable_sequence",
+    "properness_violation",
+    "simplicity_violation",
+    "tc_violation",
     "validate_certificate",
 ]

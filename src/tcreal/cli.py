@@ -25,13 +25,12 @@ from .degseq import DegreeSequence, parse_sequence
 from .graphstore import GraphError, LabeledMultigraph
 from .realize import Reason, check_tc_realizable, realize_tc
 from .verify import (
-    earliest_arrival,
+    certificate_violation,
     enumerate_sequences,
-    is_proper,
-    is_simple,
-    is_tc,
     oracle_tc_realizable_sequence,
-    validate_certificate,
+    properness_violation,
+    simplicity_violation,
+    tc_violation,
 )
 
 __all__ = ["main"]
@@ -127,14 +126,15 @@ def cmd_build(args: argparse.Namespace) -> int:
     g, cert, labeling = result.graph, result.certificate, result.labeling
     assert g is not None and cert is not None and labeling is not None
     if not args.no_verify:
-        ok = (
-            is_proper(g)
-            and is_simple(g)
-            and is_tc(g)
-            and validate_certificate(g, cert)
+        reason = (
+            simplicity_violation(g)
+            or properness_violation(g)
+            or tc_violation(g)
+            or certificate_violation(g, cert)
         )
-        if not ok:
-            print("internal error: self-verification failed", file=sys.stderr)
+        if reason is not None:
+            print(f"internal error: self-verification failed: {reason}",
+                  file=sys.stderr)
             return EXIT_INTERNAL
     report.update(
         max_label=labeling.max_label,
@@ -152,29 +152,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _first_properness_violation(g: LabeledMultigraph) -> Optional[str]:
-    for v in range(g.n):
-        seen: Dict[int, int] = {}
-        for e in g.incident(v):
-            lab = g.elabel[e]
-            if lab in seen:
-                return (
-                    f"edges {seen[lab]} and {e} at vertex {v} "
-                    f"share label {lab}"
-                )
-            seen[lab] = e
-    return None
-
-
-def _first_unreached_pair(g: LabeledMultigraph) -> Optional[str]:
-    for src in range(g.n):
-        arrival = earliest_arrival(g, src)
-        for v, t in enumerate(arrival):
-            if t == float("inf"):
-                return f"no journey from {src} to {v}"
-    return None
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.graph_file, "r", encoding="utf-8") as fh:
@@ -182,17 +159,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, GraphError) as exc:
         print(f"cannot load graph: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if not is_simple(g):
-        print("FAIL: some edge is missing a positive integer label")
-        return EXIT_NO
-    violation = _first_properness_violation(g)
-    if violation is not None:
-        print(f"FAIL properness: {violation}")
-        return EXIT_NO
-    violation = _first_unreached_pair(g)
-    if violation is not None:
-        print(f"FAIL temporal connectivity: {violation}")
-        return EXIT_NO
+    for prefix, check in (
+        ("FAIL: ", simplicity_violation),
+        ("FAIL properness: ", properness_violation),
+        ("FAIL temporal connectivity: ", tc_violation),
+    ):
+        reason = check(g)
+        if reason is not None:
+            print(prefix + reason)
+            return EXIT_NO
     print("OK: labeling is simple, proper, and temporally connected")
     return EXIT_OK
 
@@ -281,12 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "Temporally connected realizations of degree sequences: "
             "decide, construct, label, and verify."
         ),
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="reserved; constructions are deterministic and ignore it",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,7 +19,6 @@ __all__ = [
     "is_graphical",
     "is_multigraphical",
     "lay_off_graphical",
-    "lay_off_multigraphical",
     "parse_sequence",
 ]
 
@@ -176,14 +175,6 @@ class DegreeSequence:
                 return node.value
             node = node.prev
         raise AssertionError("bucket counts inconsistent with n")
-
-    def count_of(self, value: int) -> int:
-        for v, c in self.iter_buckets():
-            if v == value:
-                return c
-            if v < value:
-                break
-        return 0
 
     def copy(self) -> "DegreeSequence":
         dup = DegreeSequence()
@@ -482,25 +473,6 @@ def lay_off_graphical(d: DegreeSequence, i: int) -> DegreeSequence:
         raise ValueError(f"entry {value} cannot connect to {value} distinct other vertices")
     d.remove_entry_of_value(value)
     d.decrement_top(value)
-    if debug_asserts_enabled():
-        d._check_consistency()
-    return d
-
-
-def lay_off_multigraphical(d: DegreeSequence, j: int) -> DegreeSequence:
-    """Remove a single edge between the largest entry and the j-th entry.
-
-    Mutates ``d`` in place and returns it; O(1) bucket work for j near
-    either end of the sequence.
-    """
-    if not 2 <= j <= d.n:
-        raise IndexError(f"index {j} out of range (need 2 <= j <= {d.n})")
-    vj = d.degree_at(j)
-    if vj == 0:
-        raise ValueError("entry to lay off has value 0")
-    d.decrement_one_of_value(d.max_degree)
-    # After decrementing d_1, an entry of value vj still exists (j >= 2).
-    d.decrement_one_of_value(vj)
     if debug_asserts_enabled():
         d._check_consistency()
     return d

@@ -227,18 +227,6 @@ class LabeledMultigraph:
             self.vdeg[x] -= 1
             self._bucket_push(self.vdeg[x], x)
 
-    def subdivide_edge(self, e: int) -> Tuple[int, Tuple[int, int]]:
-        """Replace edge e by a new degree-2 vertex joined to both endpoints.
-
-        The two new edges inherit no flags; the caller sets them.
-        """
-        u, v = self.endpoints(e)
-        self.remove_edge(e)
-        w = self.add_vertex()
-        e1 = self.add_edge(u, w)
-        e2 = self.add_edge(w, v)
-        return w, (e1, e2)
-
     def replace_edge_with_degree3_vertex(
         self, u: int, pick: int
     ) -> Tuple[int, int]:
@@ -432,13 +420,9 @@ class LabeledMultigraph:
             return False
         if self.mode == "simple" and any(c > 1 for c in seen_pairs.values()):
             return False
-        # Every degree must have a valid entry in its bucket heap.
-        for v, d in enumerate(self.vdeg):
-            heap = self._buckets.get(d, [])
-            if not any(self.vdeg[x] == d for x in heap if x == v):
-                if v not in heap:
-                    return False
-        return True
+        # Every vertex must have an entry in the bucket of its current degree.
+        listed = {(d, v) for d, bucket in self._buckets.items() for v in bucket}
+        return all((d, v) in listed for v, d in enumerate(self.vdeg))
 
     def certificate_from_flags(self) -> Certificate:
         # Dead edges always carry FLAG_NONE, so flags alone decide.

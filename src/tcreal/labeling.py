@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import chain, compress, count, filterfalse
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graphstore import (
     FLAG_BOTH,
@@ -30,7 +30,7 @@ from .graphstore import (
     LabeledMultigraph,
 )
 
-__all__ = ["TemporalLabeling", "pivot_label", "label_plain_tree"]
+__all__ = ["TemporalLabeling", "pivot_label"]
 
 
 @dataclass
@@ -203,20 +203,3 @@ def pivot_label(g: LabeledMultigraph, cert: Certificate) -> TemporalLabeling:
     extra = list(filterfalse(assignment.__contains__, live))
     assignment.update(zip(extra, range(top + 1, top + 1 + len(extra))))
     return TemporalLabeling(assignment, top + len(extra))
-
-
-def label_plain_tree(g: LabeledMultigraph, tree: Set[int]) -> TemporalLabeling:
-    """Label every tree edge 1 and the rest 2, 3, ... distinctly.
-
-    Under non-decreasing (non-strict) journeys a single all-1 spanning
-    tree already connects every ordered pair.
-    """
-    assignment: Dict[int, int] = {}
-    nxt = 2
-    for e in g.edge_ids():
-        if e in tree:
-            assignment[e] = 1
-        else:
-            assignment[e] = nxt
-            nxt += 1
-    return TemporalLabeling(assignment, max(assignment.values(), default=0))

@@ -1,6 +1,13 @@
 """Independent checks: labeling properties, temporal reachability,
 certificate validation, and a brute-force realizability oracle.
 
+Each property has one checker, shared by the library and the CLI:
+``simplicity_violation``, ``properness_violation``, ``tc_violation`` and
+``certificate_violation`` return ``None`` when the property holds and
+otherwise a one-line reason naming the failed condition and a witness
+(an edge, a vertex pair, a cycle).  ``is_simple``, ``is_proper``,
+``is_tc`` and ``validate_certificate`` are their boolean forms.
+
 Everything here deliberately avoids the construction code paths: the
 reachability routines work from plain adjacency, and the oracle decides
 realizability by exhaustive search over realizations and edge orderings,
@@ -10,12 +17,16 @@ so it can serve as ground truth for the fast recognizer.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .degseq import DegreeSequence, is_graphical, is_multigraphical, normalize
 from .graphstore import Certificate, GraphError, LabeledMultigraph
 
 __all__ = [
+    "simplicity_violation",
+    "properness_violation",
+    "tc_violation",
+    "certificate_violation",
     "is_proper",
     "is_simple",
     "earliest_arrival",
@@ -44,26 +55,49 @@ def _labels_of(g: LabeledMultigraph, labels: Optional[Mapping[int, int]]) -> Dic
     return out
 
 
+def simplicity_violation(
+    g: LabeledMultigraph, labels: Optional[Mapping[int, int]] = None
+) -> Optional[str]:
+    """The first live edge without exactly one positive integer label.
+
+    ``bool`` is not accepted as an integer label.
+    """
+    for e in g.edge_ids():
+        t = labels.get(e) if labels is not None else g.elabel[e]
+        if t is None:
+            return f"edge {e} has no label"
+        if type(t) is not int or t < 1:
+            return f"edge {e} has label {t!r}, not a positive integer"
+    return None
+
+
 def is_simple(g: LabeledMultigraph, labels: Optional[Mapping[int, int]] = None) -> bool:
     """Every edge carries exactly one positive integer label."""
-    try:
-        lab = _labels_of(g, labels)
-    except GraphError:
-        return False
-    return all(isinstance(t, int) and t >= 1 for t in lab.values())
+    return simplicity_violation(g, labels) is None
+
+
+def properness_violation(
+    g: LabeledMultigraph, labels: Optional[Mapping[int, int]] = None
+) -> Optional[str]:
+    """The first two edges at a vertex that carry the same label.
+
+    Vertices are scanned in increasing order and each vertex's edges in
+    the order they were added.
+    """
+    lab = _labels_of(g, labels)
+    for v in range(g.n):
+        seen: Dict[int, int] = {}
+        for e in g.incident(v):
+            t = lab[e]
+            if t in seen:
+                return f"edges {seen[t]} and {e} at vertex {v} share label {t}"
+            seen[t] = e
+    return None
 
 
 def is_proper(g: LabeledMultigraph, labels: Optional[Mapping[int, int]] = None) -> bool:
     """No two edges sharing an endpoint carry the same label."""
-    lab = _labels_of(g, labels)
-    for v in range(g.n):
-        seen: Set[int] = set()
-        for e in g.incident(v):
-            t = lab[e]
-            if t in seen:
-                return False
-            seen.add(t)
-    return True
+    return properness_violation(g, labels) is None
 
 
 def earliest_arrival(
@@ -113,19 +147,20 @@ def earliest_arrival(
     return arrival
 
 
-def is_tc(
+def tc_violation(
     g: LabeledMultigraph,
     labels: Optional[Mapping[int, int]] = None,
     strict: bool = True,
-) -> bool:
-    """Whether journeys exist between all ordered vertex pairs.
+) -> Optional[str]:
+    """The lexicographically first ordered pair (source, target) that no
+    journey joins, or ``None`` when the labeling is temporally connected.
 
     Runs one pass over the label-sorted edges, propagating per-vertex
     bitsets of sources that can reach each vertex so far.
     """
     n = g.n
     if n <= 1:
-        return True
+        return None
     lab = _labels_of(g, labels)
     order = sorted(lab.items(), key=lambda kv: kv[1])
     full = (1 << n) - 1
@@ -157,9 +192,23 @@ def is_tc(
                         reach[v] = nu
                         changed = True
         if all(r == full for r in reach):
-            return True
+            return None
         i = j
-    return all(r == full for r in reach)
+    # The smallest source missing from some target's set (x & -x keeps
+    # the lowest set bit), then the first target that source misses.
+    missing = [full ^ r for r in reach]
+    src = min(x & -x for x in missing if x).bit_length() - 1
+    dst = next(v for v, x in enumerate(missing) if x >> src & 1)
+    return f"no journey from {src} to {dst}"
+
+
+def is_tc(
+    g: LabeledMultigraph,
+    labels: Optional[Mapping[int, int]] = None,
+    strict: bool = True,
+) -> bool:
+    """Whether journeys exist between all ordered vertex pairs."""
+    return tc_violation(g, labels, strict) is None
 
 
 # -- certificate validation ----------------------------------------------------
@@ -183,44 +232,52 @@ class _DSU:
         return True
 
 
-def _is_spanning_tree(g: LabeledMultigraph, edges: Set[int]) -> bool:
-    if g.n == 0:
-        return len(edges) == 0
-    if len(edges) != g.n - 1:
-        return False
+def _spanning_tree_violation(
+    g: LabeledMultigraph, edges: Set[int], name: str
+) -> Optional[str]:
+    want = max(g.n - 1, 0)
+    if len(edges) != want:
+        return f"{name} has {len(edges)} edges, a spanning tree needs {want}"
     dsu = _DSU(g.n)
-    for e in edges:
+    for e in sorted(edges):
         try:
             u, v = g.endpoints(e)
         except GraphError:
-            return False
+            return f"{name} edge {e} is not a live edge"
         if not dsu.union(u, v):
-            return False  # cycle
-    return True  # n-1 acyclic edges on n vertices must span
+            return f"{name} edge {e} ({u}, {v}) closes a cycle"
+    return None  # n-1 acyclic edges on n vertices must span
 
 
-def validate_certificate(g: LabeledMultigraph, cert: Certificate) -> bool:
-    """Both edge sets are spanning trees with the declared shared core.
+def certificate_violation(g: LabeledMultigraph, cert: Certificate) -> Optional[str]:
+    """The first way the certificate fails, or ``None`` when it is valid.
 
+    Both edge sets must be spanning trees with the declared shared core.
     With two shared edges, the central 4-cycle must be present, induced
     (all four cycle edges of multiplicity one, no chord), and carry both
     shared edges.  Matching pairs, when present, must each combine one
     off-cycle edge per tree with no common endpoint.
     """
-    if not _is_spanning_tree(g, cert.tree1):
-        return False
-    if not _is_spanning_tree(g, cert.tree2):
-        return False
+    reason = _spanning_tree_violation(g, cert.tree1, "tree 1")
+    if reason is None:
+        reason = _spanning_tree_violation(g, cert.tree2, "tree 2")
+    if reason is not None:
+        return reason
     shared = cert.tree1 & cert.tree2
-    if shared != cert.shared or len(shared) > 2:
-        return False
+    if shared != cert.shared:
+        return (
+            f"declared shared edges {sorted(cert.shared)} differ from the "
+            f"trees' common edges {sorted(shared)}"
+        )
+    if len(shared) > 2:
+        return f"the trees share {len(shared)} edges, at most 2 are allowed"
     cycle_edges: Set[int] = set()
     if len(shared) == 2:
-        if cert.central_cycle is None:
-            return False
         cyc = cert.central_cycle
+        if cyc is None:
+            return "two shared edges need a central cycle"
         if len(set(cyc)) != 4 or any(not 0 <= x < g.n for x in cyc):
-            return False
+            return f"central cycle {tuple(cyc)} is not 4 distinct vertices"
         cyc_pairs = [frozenset((cyc[i], cyc[(i + 1) % 4])) for i in range(4)]
         chord_pairs = {frozenset((cyc[0], cyc[2])), frozenset((cyc[1], cyc[3]))}
         pair_to_edges: Dict[frozenset, List[int]] = {p: [] for p in cyc_pairs}
@@ -229,32 +286,37 @@ def validate_certificate(g: LabeledMultigraph, cert: Certificate) -> bool:
             if key in pair_to_edges:
                 pair_to_edges[key].append(e)
             if key in chord_pairs:
-                return False  # chord: the 4-cycle is not induced
+                return f"edge {e} {g.endpoints(e)} is a chord of the central cycle"
         for p in cyc_pairs:
-            if len(pair_to_edges[p]) != 1:
-                return False  # missing or multiple copies of a cycle edge
-            cycle_edges.add(pair_to_edges[p][0])
-        if not shared <= cycle_edges:
-            return False
+            found = pair_to_edges[p]
+            if len(found) != 1:
+                a, b = sorted(p)
+                return f"central cycle pair ({a}, {b}) has {len(found)} edges, not 1"
+            cycle_edges.add(found[0])
+        off = shared - cycle_edges
+        if off:
+            return f"shared edge {min(off)} is not on the central cycle"
     elif cert.central_cycle is not None:
-        return False
+        return f"a central cycle is recorded with {len(shared)} shared edges"
     if cert.matching_pairs is not None:
         if len(shared) != 2:
-            return False
-        for pair in cert.matching_pairs:
-            e1, e2 = pair
+            return f"matching pairs are recorded with {len(shared)} shared edges"
+        for e1, e2 in cert.matching_pairs:
             if e1 in cycle_edges or e2 in cycle_edges:
-                return False
+                return f"matching pair ({e1}, {e2}) uses a central cycle edge"
             if e1 not in cert.tree1 or e2 not in cert.tree2:
-                return False
-            try:
-                a, b = g.endpoints(e1)
-                c, d = g.endpoints(e2)
-            except GraphError:
-                return False
-            if {a, b} & {c, d}:
-                return False
-    return True
+                return f"matching pair ({e1}, {e2}) is not a tree-1 and a tree-2 edge"
+            # Both are tree edges, so both are live.
+            common = set(g.endpoints(e1)) & set(g.endpoints(e2))
+            if common:
+                return f"matching pair ({e1}, {e2}) shares vertex {min(common)}"
+    return None
+
+
+def validate_certificate(g: LabeledMultigraph, cert: Certificate) -> bool:
+    """Both edge sets are spanning trees with the declared shared core;
+    see ``certificate_violation``."""
+    return certificate_violation(g, cert) is None
 
 
 # -- exhaustive realizability oracle -------------------------------------------

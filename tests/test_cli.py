@@ -5,7 +5,9 @@ import json
 import pytest
 
 from tcreal.cli import main
+from tcreal.degseq import DegreeSequence
 from tcreal.graphstore import LabeledMultigraph
+from tcreal.realize import realize_tc
 
 
 def run(capsys, *argv):
@@ -116,6 +118,21 @@ def test_build_no_verify_still_builds(capsys):
     assert json.loads(out)["n"] == 4
 
 
+def test_build_self_verify_failure_names_the_reason(capsys, monkeypatch):
+    result = realize_tc(DegreeSequence([2, 2, 2, 2]), "simple")
+    g = result.graph
+    e, f = g.incident(0)
+    g.elabel[f] = g.elabel[e]
+    monkeypatch.setattr("tcreal.cli.realize_tc", lambda d, mode: result)
+    code, out, err = run(capsys, "build", "2,2,2,2")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "internal error: self-verification failed: "
+        f"edges {e} and {f} at vertex 0 share label {g.elabel[e]}\n"
+    )
+
+
 # -- verify ---------------------------------------------------------------
 
 
@@ -148,7 +165,7 @@ def test_verify_detects_improper_labels(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
-    assert "properness" in out
+    assert out == "FAIL properness: edges 0 and 1 at vertex 1 share label 1\n"
 
 
 def test_verify_detects_unreachable_pair(capsys, tmp_path):
@@ -165,7 +182,7 @@ def test_verify_detects_unreachable_pair(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
-    assert "temporal connectivity" in out
+    assert out == "FAIL temporal connectivity: no journey from 0 to 2\n"
 
 
 def test_verify_rejects_malformed_file(capsys, tmp_path):

@@ -11,7 +11,6 @@ from tcreal.degseq import (
     is_graphical,
     is_multigraphical,
     lay_off_graphical,
-    lay_off_multigraphical,
     normalize,
     parse_sequence,
 )
@@ -76,8 +75,6 @@ def test_accessors():
     assert d.degree_at(3) == 3
     assert d.degree_at_from_end(1) == 2
     assert d.degree_at_from_end(4) == 4
-    assert d.count_of(3) == 2
-    assert d.count_of(7) == 0
     assert len(d) == 4
     with pytest.raises(IndexError):
         d.degree_at(0)
@@ -251,34 +248,9 @@ def test_lay_off_graphical_preserves_graphicality():
                 assert is_graphical(red), (tup, i)
 
 
-def test_lay_off_multigraphical_removes_one_edge():
-    d = DegreeSequence([4, 2, 2])
-    lay_off_multigraphical(d, 2)
-    assert d.entries == [3, 2, 1]
-    assert d.n == 3
-
-
-def test_lay_off_multigraphical_preserves():
-    for n in range(2, 6):
-        for tup in all_sequences(n, 2 * n):
-            d = DegreeSequence(tup)
-            if not is_multigraphical(d) or d.min_degree == 0:
-                continue
-            for j in range(2, n + 1):
-                red = DegreeSequence(tup)
-                lay_off_multigraphical(red, j)
-                assert red.n == n  # one edge removed, no entry dropped
-                assert red.total == sum(tup) - 2
-                assert is_multigraphical(red), (tup, j)
-
-
 def test_lay_off_errors():
     with pytest.raises(IndexError):
         lay_off_graphical(DegreeSequence([2, 2, 2]), 4)
-    with pytest.raises(IndexError):
-        lay_off_multigraphical(DegreeSequence([2, 2]), 1)
-    with pytest.raises(ValueError):
-        lay_off_multigraphical(DegreeSequence([2, 2, 0]), 3)
 
 
 # -- parsing ------------------------------------------------------------------

@@ -100,6 +100,14 @@ def test_find_vertex_with_degree():
         g.find_vertex_with_degree(5)
 
 
+def test_validate_needs_a_bucket_entry_at_the_current_degree():
+    g = triangle()
+    assert g.validate()
+    # Vertex 1 keeps its stale entries at degrees 0 and 1.
+    g._buckets[2].remove(1)
+    assert not g.validate()
+
+
 def test_attach_vertex_on_triangle():
     g = triangle()
     w, edges = g.attach_vertex([2, 2])
@@ -149,36 +157,6 @@ def test_attach_vertex_missing_degree():
     g = triangle()
     with pytest.raises(GraphError):
         g.attach_vertex([7])
-
-
-def test_subdivide_edge_k2():
-    g = LabeledMultigraph("simple")
-    g.add_vertex()
-    g.add_vertex()
-    e = g.add_edge(0, 1)
-    w, (e1, e2) = g.subdivide_edge(e)
-    assert g.degree(w) == 2
-    assert sorted(g.degrees()) == [1, 1, 2]
-    assert g.num_edges == 2
-
-
-def test_subdivide_triangle_gives_4_cycle():
-    g = triangle()
-    g.subdivide_edge(0)
-    assert g.degrees() == [2, 2, 2, 2]
-    assert g.num_edges == 4
-
-
-def test_subdivide_one_of_triple_edge():
-    g = LabeledMultigraph("multi")
-    g.add_vertex()
-    g.add_vertex()
-    e1 = g.add_edge(0, 1)
-    g.add_edge(0, 1)
-    g.add_edge(0, 1)
-    g.subdivide_edge(e1)
-    assert sorted(g.degrees(), reverse=True) == [3, 3, 2]
-    assert g.validate()
 
 
 def test_replace_edge_with_degree3_vertex_matches_primitives():

@@ -1,5 +1,9 @@
 """Verification primitives and the exhaustive brute-force oracle."""
 
+import itertools
+import random
+import re
+
 import pytest
 
 from tcreal.degseq import DegreeSequence
@@ -10,14 +14,19 @@ from tcreal.graphstore import (
     Certificate,
     build_fixed,
 )
+from tcreal.realize import realize_tc
 from tcreal.verify import (
     OracleCapError,
+    certificate_violation,
     earliest_arrival,
     enumerate_sequences,
     is_proper,
     is_simple,
     is_tc,
     oracle_tc_realizable_sequence,
+    properness_violation,
+    simplicity_violation,
+    tc_violation,
     validate_certificate,
 )
 
@@ -41,11 +50,24 @@ def test_is_simple_requires_total_positive_labels():
     assert is_simple(g)
     g.elabel[2] = None
     assert not is_simple(g)
+    assert simplicity_violation(g) == "edge 2 has no label"
+
+
+def test_is_simple_rejects_bool_and_float_labels():
+    g = labeled_cycle([1, 2, 3, 4])
+    assert not is_simple(g, labels={0: True, 1: 2, 2: 3, 3: 4})
+    assert not is_simple(g, labels={0: 1, 1: 1.5, 2: 3, 3: 4})
+    assert simplicity_violation(g, labels={0: 1, 1: 1.5, 2: 3, 3: 4}) == (
+        "edge 1 has label 1.5, not a positive integer"
+    )
 
 
 def test_is_proper_detects_adjacent_equal_labels():
     assert is_proper(labeled_cycle([1, 2, 1, 2]))
     assert not is_proper(labeled_cycle([1, 1, 2, 2]))
+    assert properness_violation(labeled_cycle([1, 1, 2, 2])) == (
+        "edges 0 and 1 at vertex 1 share label 1"
+    )
 
 
 def test_external_label_map_overrides_stored():
@@ -82,6 +104,59 @@ def test_is_tc_trivial_sizes():
     assert is_tc(build_fixed("simple", 0, []))
     assert is_tc(build_fixed("simple", 1, []))
     assert not is_tc(build_fixed("simple", 2, []))
+    assert tc_violation(build_fixed("simple", 2, [])) == "no journey from 0 to 1"
+
+
+def mutated_realizations():
+    """Every realization of a sequence with n <= 6, in both modes, each
+    with one label changed at random (seeded)."""
+    rng = random.Random(2025)
+    for mode, n in itertools.product(("simple", "multi"), range(7)):
+        for d in enumerate_sequences(n, mode):
+            res = realize_tc(d, mode)
+            if not res.realizable or res.graph.num_edges == 0:
+                continue
+            g = res.graph
+            e = rng.choice(list(g.edge_ids()))
+            g.elabel[e] = rng.randint(1, res.labeling.max_label + 1)
+            yield g
+
+
+def test_tc_violation_names_the_first_unreached_pair():
+    cases = 0
+    for g in mutated_realizations():
+        for strict in (True, False):
+            expected = None
+            for src in range(g.n):
+                arrival = earliest_arrival(g, src, strict=strict)
+                if INF in arrival:
+                    expected = f"no journey from {src} to {arrival.index(INF)}"
+                    break
+            assert tc_violation(g, strict=strict) == expected
+            cases += expected is not None
+    assert cases > 0
+
+
+def test_properness_violation_names_a_real_clash():
+    clashes = 0
+    for g in mutated_realizations():
+        at = [[] for _ in range(g.n)]
+        for e in g.edge_ids():
+            u, v = g.endpoints(e)
+            at[u].append(g.elabel[e])
+            at[v].append(g.elabel[e])
+        proper = all(len(set(labs)) == len(labs) for labs in at)
+        reason = properness_violation(g)
+        assert (reason is None) == proper
+        if reason is not None:
+            m = re.fullmatch(r"edges (\d+) and (\d+) at vertex (\d+) share label (\d+)",
+                             reason)
+            e, f, v, t = map(int, m.groups())
+            assert e != f
+            assert v in g.endpoints(e) and v in g.endpoints(f)
+            assert g.elabel[e] == g.elabel[f] == t
+            clashes += 1
+    assert clashes > 0
 
 
 # -- certificates -----------------------------------------------------------
@@ -100,6 +175,16 @@ def test_validate_certificate_rejects_non_spanning():
     )
     cert = Certificate(tree1={1}, tree2={0, 2}, shared=set())
     assert not validate_certificate(g, cert)
+    assert certificate_violation(g, cert) == (
+        "tree 1 has 1 edges, a spanning tree needs 2"
+    )
+    doubled = build_fixed(
+        "multi", 3, [(0, 1, FLAG_T1), (0, 1, FLAG_T1), (1, 2, FLAG_T2)]
+    )
+    cert = Certificate(tree1={0, 1}, tree2={1, 2}, shared={1})
+    assert certificate_violation(doubled, cert) == (
+        "tree 1 edge 1 (0, 1) closes a cycle"
+    )
 
 
 def test_validate_certificate_rejects_wrong_shared_record():
@@ -108,6 +193,9 @@ def test_validate_certificate_rejects_wrong_shared_record():
     )
     cert = Certificate(tree1={0, 1}, tree2={0, 2}, shared=set())
     assert not validate_certificate(g, cert)
+    assert certificate_violation(g, cert) == (
+        "declared shared edges [] differ from the trees' common edges [0]"
+    )
 
 
 def test_validate_certificate_two_shared_needs_induced_cycle():
@@ -119,23 +207,46 @@ def test_validate_certificate_two_shared_needs_induced_cycle():
     bad = g.certificate_from_flags()
     bad = Certificate(bad.tree1, bad.tree2, bad.shared, central_cycle=None)
     assert not validate_certificate(g, bad)
+    assert certificate_violation(g, bad) == "two shared edges need a central cycle"
     # A chord breaks the induced condition.
     chorded = build_fixed(
         "simple", 4, edges + [(0, 2, 0)], central_cycle=(0, 1, 2, 3)
     )
     assert not validate_certificate(chorded, chorded.certificate_from_flags())
+    assert certificate_violation(chorded, chorded.certificate_from_flags()) == (
+        "edge 4 (0, 2) is a chord of the central cycle"
+    )
 
 
 def test_validate_certificate_matching_pairs():
+    # Central cycle 0-1-2-3 sharing edges 0 and 2; vertices 4 and 5 hang
+    # off it in both trees, so the certificate itself is valid.
     g = build_fixed(
-        "simple", 4,
-        [(0, 1, FLAG_BOTH), (1, 2, FLAG_T1), (2, 3, FLAG_T2)],
+        "simple", 6,
+        [(0, 1, FLAG_BOTH), (1, 2, FLAG_T1), (2, 3, FLAG_BOTH),
+         (3, 0, FLAG_T2), (0, 4, FLAG_T1), (2, 5, FLAG_T1),
+         (4, 5, FLAG_T2), (3, 4, FLAG_T2)],
+        central_cycle=(0, 1, 2, 3),
     )
     cert = g.certificate_from_flags()
-    good = Certificate(cert.tree1, cert.tree2, cert.shared,
-                       matching_pairs=((1, 2),))
-    # Edges 1-2 and 2-3 share vertex 2, so they are not a matching.
-    assert not validate_certificate(g, good)
+    assert certificate_violation(g, cert) is None
+
+    def with_pairs(*pairs):
+        return Certificate(cert.tree1, cert.tree2, cert.shared,
+                           cert.central_cycle, matching_pairs=pairs)
+
+    assert validate_certificate(g, with_pairs((5, 7)))
+    # Edges 0-4 and 4-5 share vertex 4, so they are not a matching.
+    assert not validate_certificate(g, with_pairs((4, 6)))
+    assert certificate_violation(g, with_pairs((4, 6))) == (
+        "matching pair (4, 6) shares vertex 4"
+    )
+    assert certificate_violation(g, with_pairs((1, 7))) == (
+        "matching pair (1, 7) uses a central cycle edge"
+    )
+    assert certificate_violation(g, with_pairs((7, 5))) == (
+        "matching pair (7, 5) is not a tree-1 and a tree-2 edge"
+    )
 
 
 # -- brute-force oracle -------------------------------------------------------
