@@ -141,14 +141,18 @@ def cmd_build(args: argparse.Namespace) -> int:
         shared_edges=len(cert.shared),
         certificate=_CERT_KIND[result.decision.reason],
     )
-    document = g.to_dot() if args.format == "dot" else g.to_json(indent=2)
+    document = g.to_dot() if args.format == "dot" else g.to_json()
+    # Two writes: the document can be tens of MB, and document + "\n"
+    # would copy it.
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(document + "\n")
+            fh.write(document)
+            fh.write("\n")
         _print_report(report, "text" if args.format == "dot" else args.format,
                       sys.stdout)
     else:
-        sys.stdout.write(document + "\n")
+        sys.stdout.write(document)
+        sys.stdout.write("\n")
     return EXIT_OK
 
 

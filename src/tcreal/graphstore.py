@@ -46,6 +46,14 @@ FLAG_BOTH = 3
 
 _FLAG_NAMES = {FLAG_NONE: "none", FLAG_T1: "t1", FLAG_T2: "t2", FLAG_BOTH: "both"}
 _FLAG_VALUES = {v: k for k, v in _FLAG_NAMES.items()}
+# The layout json.dumps(to_json_dict(), indent=2) gives; see to_json.
+_HEAD = '{\n  "mode": "%s",\n  "n": %d,\n  "edges": '
+_TAIL = ',\n  "central_cycle": %s\n}'
+_EDGE_RECORD = (
+    '    {\n      "id": %d,\n      "u": %d,\n      "v": %d,\n'
+    '      "tree": "%s",\n      "label": %s\n    }'
+)
+_NULL_FOR_NONE = {None: "null"}
 # bytes.translate tables: flag byte -> 1 if the edge is in that tree.
 _IN_TREE1 = bytes(1 if f & FLAG_T1 else 0 for f in range(256))
 _IN_TREE2 = bytes(1 if f & FLAG_T2 else 0 for f in range(256))
@@ -456,32 +464,61 @@ class LabeledMultigraph:
             "central_cycle": list(self.central_cycle) if self.central_cycle else None,
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        """``to_json_dict()`` as ``json.dumps(..., indent=2)`` writes it.
+
+        The records are filled from the per-edge lists directly: the
+        ``json`` encoder runs in pure Python whenever it indents, and
+        one dict per edge would be built only to be encoded.
+        """
+        live = self.ealive
+        labels = list(compress(self.elabel, live))
+        records = ",\n".join(map(_EDGE_RECORD.__mod__, zip(
+            compress(count(), live),
+            compress(self.eu, live),
+            compress(self.ev, live),
+            map(_FLAG_NAMES.__getitem__, compress(self.eflag, live)),
+            map(_NULL_FOR_NONE.get, labels, labels),  # None -> null
+        )))
+        head = _HEAD % (self.mode, self.n)
+        cyc = self.central_cycle
+        tail = _TAIL % (
+            "[\n    %s\n  ]" % ",\n    ".join(map(str, cyc)) if cyc else "null")
+        if not records:
+            return head + "[]" + tail
+        return "".join((head, "[\n", records, "\n  ]", tail))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LabeledMultigraph":
+        """Load an untrusted document.  Numbers are taken only as exact
+        ints (never ``bool``, float or string) in range; anything else
+        raises ``GraphError`` rather than being coerced."""
         try:
             g = cls(data["mode"])
-            n = int(data["n"])
+            n = data["n"]
+            if type(n) is not int or n < 0:
+                raise GraphError(f"n must be a non-negative integer, got {n!r}")
             for _ in range(n):
                 g.add_vertex()
             for rec in data["edges"]:
-                u, v = int(rec["u"]), int(rec["v"])
-                if not (0 <= u < n and 0 <= v < n):
-                    raise GraphError(f"edge endpoint out of range: {rec}")
+                u, v = rec["u"], rec["v"]
+                if not (type(u) is int and type(v) is int
+                        and 0 <= u < n and 0 <= v < n):
+                    raise GraphError(f"edge endpoints must be integers in [0, {n}): {rec}")
                 e = g.add_edge(u, v, _FLAG_VALUES[rec["tree"]])
                 lab = rec.get("label")
                 if lab is not None:
-                    lab = int(lab)
-                    if lab < 1:
-                        raise GraphError(f"label must be positive: {rec}")
+                    if type(lab) is not int or lab < 1:
+                        raise GraphError(f"label must be a positive integer: {rec}")
                     g.elabel[e] = lab
             cyc = data.get("central_cycle")
             if cyc is not None:
-                if len(cyc) != 4:
-                    raise GraphError("central_cycle must have 4 vertices")
-                g.central_cycle = tuple(int(x) for x in cyc)  # type: ignore[assignment]
+                if not (type(cyc) is list and len(cyc) == 4
+                        and all(type(x) is int and 0 <= x < n for x in cyc)
+                        and len(set(cyc)) == 4):
+                    raise GraphError(
+                        f"central_cycle must be 4 distinct vertices in [0, {n}): {cyc!r}")
+                g.central_cycle = tuple(cyc)  # type: ignore[assignment]
             return g
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, GraphError):

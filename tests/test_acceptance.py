@@ -23,7 +23,7 @@ import itertools
 import random
 import time
 
-from tcreal.degseq import DegreeSequence, is_graphical
+from tcreal.degseq import DegreeSequence, is_graphical, set_debug_asserts
 from tcreal.realize import (
     build_two_edst,
     build_two_edst_multi,
@@ -116,6 +116,35 @@ def test_3_exhaustive_soundness_up_to_n9():
                 continue
             if check_tc_realizable(d, "simple").realizable:
                 full_check(d, "simple")
+
+
+def test_3_exhaustive_soundness_with_debug_asserts():
+    """Criterion 3 with the builders' internal assertions switched on:
+    every realizable simple sequence with n <= 8, and every multigraph
+    sequence with n <= 5, entries <= 8 and m <= 10, whose decision for
+    m <= 8 also agrees with the oracle."""
+    set_debug_asserts(True)
+    try:
+        for n in range(0, 9):
+            for tup in itertools.combinations_with_replacement(
+                range(max(n - 1, 0), -1, -1), n
+            ):
+                d = DegreeSequence(tup)
+                if check_tc_realizable(d, "simple").realizable:
+                    full_check(d, "simple")
+        for n in range(0, 6):
+            for tup in itertools.combinations_with_replacement(range(8, -1, -1), n):
+                if sum(tup) > 20:
+                    continue
+                d = DegreeSequence(tup)
+                claimed = check_tc_realizable(d, "multi").realizable
+                if sum(tup) <= 16:
+                    truth = oracle_tc_realizable_sequence(d, "multi", cap_n=5, cap_m=8)
+                    assert claimed == truth, d
+                if claimed:
+                    full_check(d, "multi")
+    finally:
+        set_debug_asserts(None)
 
 
 def random_realizable(rng, n, mode):

@@ -112,6 +112,20 @@ def test_build_out_file_and_report(capsys, tmp_path):
     assert g.n == 4
 
 
+def test_build_writes_the_indented_document(capsys, tmp_path):
+    for seq, mode in [("3 3 3 3", "simple"), ("4 2 2 2 2", "multi"),
+                      ("5 3 3 3 3 3 3 3", "simple")]:
+        g = realize_tc(DegreeSequence([int(x) for x in seq.split()]), mode).graph
+        expected = json.dumps(g.to_json_dict(), indent=2) + "\n"
+        path = tmp_path / "g.json"
+        code, _, _ = run(capsys, "build", "--mode", mode, "--out", str(path), seq)
+        assert code == 0
+        assert path.read_text(encoding="utf-8") == expected
+        code, out, _ = run(capsys, "build", "--mode", mode, seq)
+        assert code == 0
+        assert out == expected
+
+
 def test_build_no_verify_still_builds(capsys):
     code, out, _ = run(capsys, "build", "--no-verify", "2,2,2,2")
     assert code == 0
@@ -200,6 +214,34 @@ def test_verify_rejects_malformed_file(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def triangle_document(labels, n=3, endpoints=((0, 1), (1, 2), (2, 0))):
+    return {
+        "mode": "simple",
+        "n": n,
+        "edges": [{"id": i, "u": u, "v": v, "tree": "none", "label": lab}
+                  for i, ((u, v), lab) in enumerate(zip(endpoints, labels))],
+        "central_cycle": None,
+    }
+
+
+@pytest.mark.parametrize("doc", [
+    triangle_document([True, 2, 3]),
+    triangle_document([1, 2.7, 3]),
+    triangle_document([1, 2, "3"]),
+    triangle_document([1.9, 2.5, 3.7]),
+    triangle_document([1, 2, 3], n=-5),
+    triangle_document([1, 2, 3], n=2.9, endpoints=((0, 1), (1, 2.0), (2, 0))),
+], ids=["bool-label", "float-label", "string-label", "all-float-labels",
+        "negative-n", "float-n-and-endpoint"])
+def test_verify_rejects_coerced_values(capsys, tmp_path, doc):
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot load graph: ")
 
 
 # -- oracle ---------------------------------------------------------------

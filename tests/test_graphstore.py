@@ -18,6 +18,7 @@ from tcreal.graphstore import (
 )
 from tcreal.degseq import DegreeSequence
 from tcreal.realize import realize_tc
+from tcreal.verify import enumerate_sequences
 
 
 def triangle(mode="simple"):
@@ -308,6 +309,48 @@ def test_json_roundtrip():
     assert back.to_json_dict() == g.to_json_dict()
 
 
+def indented(g):
+    """The reference layout that ``to_json`` writes without the encoder."""
+    return json.dumps(g.to_json_dict(), indent=2)
+
+
+def test_to_json_matches_the_indented_encoder_on_small_realizations():
+    checked = 0
+    for mode in ("simple", "multi"):
+        for n in range(8):
+            for d in enumerate_sequences(n, mode):
+                g = realize_tc(d, mode).graph
+                if g is not None:
+                    assert g.to_json() == indented(g), (d, mode)
+                    checked += 1
+    assert checked > 40_000
+
+
+def test_to_json_matches_the_indented_encoder_on_edge_cases():
+    dead = build_fixed("multi", 4, [(0, 1, FLAG_T1), (1, 2, FLAG_T2),
+                                    (0, 1, FLAG_BOTH), (2, 3, FLAG_NONE),
+                                    (3, 0, FLAG_T1)],
+                       central_cycle=(0, 1, 2, 3))
+    for e, lab in enumerate((3, 1, 2, 5, 4)):
+        dead.elabel[e] = lab
+    dead.remove_edge(0)
+    dead.remove_edge(3)
+    unlabeled = triangle()
+    unlabeled.elabel[1] = 4
+    no_cycle = build_fixed("simple", 2, [(0, 1, FLAG_T1)])
+    no_cycle.elabel[0] = 1
+    all_dead = build_fixed("simple", 2, [(0, 1, FLAG_T1)])
+    all_dead.remove_edge(0)
+    cases = [dead, unlabeled, no_cycle, all_dead,
+             LabeledMultigraph("simple"), build_fixed("multi", 3, [])]
+    for g in cases:
+        assert g.to_json() == indented(g)
+    assert dead.to_json_dict()["edges"][0]["id"] == 1
+    assert '"label": null' in unlabeled.to_json()
+    assert '"edges": [],' in all_dead.to_json()
+    assert no_cycle.to_json().endswith('"central_cycle": null\n}')
+
+
 def test_from_json_rejects_bad_documents():
     with pytest.raises(GraphError):
         LabeledMultigraph.from_json("{not json")
@@ -325,6 +368,48 @@ def test_from_json_rejects_bad_documents():
             "edges": [{"id": 0, "u": 0, "v": 1, "tree": "none", "label": 0}],
             "central_cycle": None,
         }))
+
+
+def square_document(**changes):
+    doc = {
+        "mode": "simple", "n": 4,
+        "edges": [{"id": i, "u": i, "v": (i + 1) % 4, "tree": "both", "label": i + 1}
+                  for i in range(4)],
+        "central_cycle": [0, 1, 2, 3],
+    }
+    doc.update(changes)
+    return doc
+
+
+def test_from_json_takes_only_exact_integers():
+    assert LabeledMultigraph.from_json_dict(square_document()).central_cycle == (0, 1, 2, 3)
+    bad_edges = [
+        {"u": 0, "v": 1, "label": True},
+        {"u": 0, "v": 1, "label": 2.0},
+        {"u": 0, "v": 1, "label": "2"},
+        {"u": 0, "v": 1, "label": -1},
+        {"u": 0.0, "v": 1, "label": 1},
+        {"u": False, "v": 1, "label": 1},
+        {"u": "0", "v": 1, "label": 1},
+        {"u": 0, "v": -1, "label": 1},
+        {"u": 0, "v": 4, "label": 1},
+    ]
+    for rec in bad_edges:
+        doc = square_document()
+        doc["edges"][0].update(rec)
+        with pytest.raises(GraphError):
+            LabeledMultigraph.from_json_dict(doc)
+    for n in (-1, 4.0, 4.5, "4", True, None):
+        with pytest.raises(GraphError):
+            LabeledMultigraph.from_json_dict(square_document(n=n))
+        with pytest.raises(GraphError):
+            LabeledMultigraph.from_json_dict(
+                square_document(n=n, edges=[], central_cycle=None))
+    for cyc in ([0, 1, 2], [0, 1, 2, 3, 0], [0, 1, 2, 2], [0, 1, 2, 4],
+                [0, 1, 2, -1], [0, 1, 2, 3.0], [0, True, 2, 3], "0123",
+                [[0], 1, 2, 3], {"0": 1}):
+        with pytest.raises(GraphError):
+            LabeledMultigraph.from_json_dict(square_document(central_cycle=cyc))
 
 
 def test_to_dot_mentions_edges_and_labels():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tcreal.degseq import DegreeSequence
+from tcreal.degseq import DegreeSequence, set_debug_asserts
 from tcreal.realize import (
     Reason,
     build_c4_pivotable,
@@ -41,7 +41,18 @@ def full_check(tup, mode, expect_reason=None):
         assert is_simple(g)
     assert validate_certificate(g, cert), (tup, mode)
     assert is_tc(g), (tup, mode)
+    if all(g.eflag[e] != 0 for e in g.edge_ids()):
+        assert lab.max_label <= 2 * d.n + 2, (tup, mode, lab.max_label)
     return res
+
+
+@pytest.fixture
+def debug_asserts():
+    set_debug_asserts(True)
+    try:
+        yield
+    finally:
+        set_debug_asserts(None)
 
 
 # -- decision procedure -------------------------------------------------------
@@ -155,6 +166,7 @@ SIMPLE_CASES = [
     (3, 3, 3, 3, 2, 2),
     (3, 3, 2, 2, 2),
     tuple([3] * 8),
+    tuple([4] + [3] * 8),
     tuple([4, 4] + [3] * 8),
     tuple([4, 4, 4, 4] + [3] * 8),
     # central 4-cycle with a high-degree hub
@@ -186,12 +198,12 @@ MULTI_CASES = [
 ]
 
 
-def test_simple_routes():
+def test_simple_routes(debug_asserts):
     for tup in SIMPLE_CASES:
         full_check(tup, "simple")
 
 
-def test_multi_routes():
+def test_multi_routes(debug_asserts):
     for tup in MULTI_CASES:
         full_check(tup, "multi")
 
@@ -249,7 +261,7 @@ def test_nonstrict_small_equivalence():
 
     from tcreal.degseq import is_graphical, is_multigraphical
 
-    for n in range(0, 7):
+    for n in range(0, 8):
         top = max(n - 1, 0)
         for tup in itertools.combinations_with_replacement(
             range(top, -1, -1), n
@@ -268,6 +280,7 @@ def test_nonstrict_small_equivalence():
                 if res.realizable:
                     g = res.graph
                     assert sorted(g.degrees(), reverse=True) == list(d.entries)
+                    assert g.validate(), (tup, mode)
                     assert is_tc(g, strict=False), (tup, mode)
 
 
