@@ -9,7 +9,7 @@ otherwise a one-line reason naming the failed condition and a witness
 ``is_tc`` and ``validate_certificate`` are their boolean forms.
 
 Everything here deliberately avoids the construction code paths: the
-reachability routines work from plain adjacency, and the oracle decides
+reachability routines work from the flat edge lists, and the oracle decides
 realizability by exhaustive search over realizations and edge orderings,
 so it can serve as ground truth for the fast recognizer.
 """
@@ -17,7 +17,7 @@ so it can serve as ground truth for the fast recognizer.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .degseq import DegreeSequence, is_graphical, is_multigraphical, normalize
 from .graphstore import Certificate, GraphError, LabeledMultigraph
@@ -44,26 +44,24 @@ class OracleCapError(ValueError):
     """Raised when an oracle query exceeds its exhaustive-search caps."""
 
 
-def _labels_of(g: LabeledMultigraph, labels: Optional[Mapping[int, int]]) -> Dict[int, int]:
-    """Total label map for the live edges of g, or raise on a gap."""
-    out: Dict[int, int] = {}
-    for e in g.edge_ids():
-        lab = labels.get(e) if labels is not None else g.elabel[e]
-        if lab is None:
+def _by_label(g: LabeledMultigraph) -> List[int]:
+    """Live edge ids sorted by label, ties in id order; raise on a gap."""
+    elabel = g.elabel
+    ids = list(g.edge_ids())
+    for e in ids:
+        if elabel[e] is None:
             raise GraphError(f"edge {e} has no label")
-        out[e] = lab
-    return out
+    return sorted(ids, key=elabel.__getitem__)
 
 
-def simplicity_violation(
-    g: LabeledMultigraph, labels: Optional[Mapping[int, int]] = None
-) -> Optional[str]:
+def simplicity_violation(g: LabeledMultigraph) -> Optional[str]:
     """The first live edge without exactly one positive integer label.
 
     ``bool`` is not accepted as an integer label.
     """
+    elabel = g.elabel
     for e in g.edge_ids():
-        t = labels.get(e) if labels is not None else g.elabel[e]
+        t = elabel[e]
         if t is None:
             return f"edge {e} has no label"
         if type(t) is not int or t < 1:
@@ -71,61 +69,62 @@ def simplicity_violation(
     return None
 
 
-def is_simple(g: LabeledMultigraph, labels: Optional[Mapping[int, int]] = None) -> bool:
+def is_simple(g: LabeledMultigraph) -> bool:
     """Every edge carries exactly one positive integer label."""
-    return simplicity_violation(g, labels) is None
+    return simplicity_violation(g) is None
 
 
-def properness_violation(
-    g: LabeledMultigraph, labels: Optional[Mapping[int, int]] = None
-) -> Optional[str]:
+def properness_violation(g: LabeledMultigraph) -> Optional[str]:
     """The first two edges at a vertex that carry the same label.
 
-    Vertices are scanned in increasing order and each vertex's edges in
-    the order they were added.
+    The witness is at the smallest vertex with a clash, and is that
+    vertex's first clash in edge-id order (``incident`` order): the first
+    edge whose label an earlier edge there already carries, and that
+    earlier edge.
     """
-    lab = _labels_of(g, labels)
-    for v in range(g.n):
-        seen: Dict[int, int] = {}
-        for e in g.incident(v):
-            t = lab[e]
-            if t in seen:
-                return f"edges {seen[t]} and {e} at vertex {v} share label {t}"
-            seen[t] = e
-    return None
+    eu, ev, elabel = g.eu, g.ev, g.elabel
+    first: Dict[Tuple[int, int], int] = {}  # (label, vertex) -> first edge
+    witness: Optional[Tuple[int, int, int, int]] = None  # (vertex, edge, edge, label)
+    for e in g.edge_ids():
+        t = elabel[e]
+        if t is None:
+            raise GraphError(f"edge {e} has no label")
+        for x in (eu[e], ev[e]):
+            f = first.setdefault((t, x), e)
+            if f != e and (witness is None or x < witness[0]):
+                witness = (x, f, e, t)
+    if witness is None:
+        return None
+    v, f, e, t = witness
+    return f"edges {f} and {e} at vertex {v} share label {t}"
 
 
-def is_proper(g: LabeledMultigraph, labels: Optional[Mapping[int, int]] = None) -> bool:
+def is_proper(g: LabeledMultigraph) -> bool:
     """No two edges sharing an endpoint carry the same label."""
-    return properness_violation(g, labels) is None
+    return properness_violation(g) is None
 
 
-def earliest_arrival(
-    g: LabeledMultigraph,
-    src: int,
-    labels: Optional[Mapping[int, int]] = None,
-    strict: bool = True,
-) -> List[float]:
+def earliest_arrival(g: LabeledMultigraph, src: int, strict: bool = True) -> List[float]:
     """Earliest arrival time at every vertex for journeys starting at src.
 
     Edges are relaxed in increasing label order.  Under ``strict`` a label-t
     edge extends only journeys that arrived before t; otherwise arrival at
     exactly t may continue, which needs a fixpoint within each label batch.
     """
-    lab = _labels_of(g, labels)
-    order = sorted(lab.items(), key=lambda kv: kv[1])
+    elabel = g.elabel
+    order = _by_label(g)
     arrival: List[float] = [INF] * g.n
     arrival[src] = 0
     i = 0
     while i < len(order):
         j = i
-        t = order[i][1]
-        while j < len(order) and order[j][1] == t:
+        t = elabel[order[i]]
+        while j < len(order) and elabel[order[j]] == t:
             j += 1
         batch = order[i:j]
         if strict:
             snapshot = list(arrival)
-            for e, _ in batch:
+            for e in batch:
                 u, v = g.endpoints(e)
                 if snapshot[u] < t and arrival[v] > t:
                     arrival[v] = t
@@ -135,7 +134,7 @@ def earliest_arrival(
             changed = True
             while changed:
                 changed = False
-                for e, _ in batch:
+                for e in batch:
                     u, v = g.endpoints(e)
                     if arrival[u] <= t and arrival[v] > t:
                         arrival[v] = t
@@ -147,43 +146,39 @@ def earliest_arrival(
     return arrival
 
 
-def tc_violation(
-    g: LabeledMultigraph,
-    labels: Optional[Mapping[int, int]] = None,
-    strict: bool = True,
-) -> Optional[str]:
+def tc_violation(g: LabeledMultigraph, strict: bool = True) -> Optional[str]:
     """The lexicographically first ordered pair (source, target) that no
     journey joins, or ``None`` when the labeling is temporally connected.
 
     Runs one pass over the label-sorted edges, propagating per-vertex
-    bitsets of sources that can reach each vertex so far.
+    bitsets of sources that can reach each vertex so far.  Each label
+    class touches only its own endpoints, and a count of the vertices
+    every source reaches ends the pass once it reaches n.
     """
     n = g.n
     if n <= 1:
         return None
-    lab = _labels_of(g, labels)
-    order = sorted(lab.items(), key=lambda kv: kv[1])
+    eu, ev = g.eu, g.ev
     full = (1 << n) - 1
     reach = [1 << v for v in range(n)]  # reach[v] = sources with a journey to v
-    i = 0
-    while i < len(order):
-        j = i
-        t = order[i][1]
-        while j < len(order) and order[j][1] == t:
-            j += 1
-        batch = order[i:j]
+    done = 0  # vertices v with reach[v] == full
+    for _, group in itertools.groupby(_by_label(g), key=g.elabel.__getitem__):
+        batch = [(eu[e], ev[e]) for e in group]
+        # The class's endpoints before it fires: strict journeys may not
+        # chain two of its edges (it need not be a matching).
+        before: Dict[int, int] = {}
+        for u, v in batch:
+            before[u] = reach[u]
+            before[v] = reach[v]
         if strict:
-            snap = list(reach)
-            for e, _ in batch:
-                u, v = g.endpoints(e)
-                reach[u] |= snap[v]
-                reach[v] |= snap[u]
+            for u, v in batch:
+                reach[u] |= before[v]
+                reach[v] |= before[u]
         else:
             changed = True
             while changed:
                 changed = False
-                for e, _ in batch:
-                    u, v = g.endpoints(e)
+                for u, v in batch:
                     nu = reach[u] | reach[v]
                     if nu != reach[u]:
                         reach[u] = nu
@@ -191,9 +186,11 @@ def tc_violation(
                     if nu != reach[v]:
                         reach[v] = nu
                         changed = True
-        if all(r == full for r in reach):
+        for x, r in before.items():
+            if r != full and reach[x] == full:
+                done += 1
+        if done == n:
             return None
-        i = j
     # The smallest source missing from some target's set (x & -x keeps
     # the lowest set bit), then the first target that source misses.
     missing = [full ^ r for r in reach]
@@ -202,13 +199,9 @@ def tc_violation(
     return f"no journey from {src} to {dst}"
 
 
-def is_tc(
-    g: LabeledMultigraph,
-    labels: Optional[Mapping[int, int]] = None,
-    strict: bool = True,
-) -> bool:
+def is_tc(g: LabeledMultigraph, strict: bool = True) -> bool:
     """Whether journeys exist between all ordered vertex pairs."""
-    return tc_violation(g, labels, strict) is None
+    return tc_violation(g, strict) is None
 
 
 # -- certificate validation ----------------------------------------------------
@@ -238,13 +231,14 @@ def _spanning_tree_violation(
     want = max(g.n - 1, 0)
     if len(edges) != want:
         return f"{name} has {len(edges)} edges, a spanning tree needs {want}"
-    dsu = _DSU(g.n)
+    eu, ev, ealive = g.eu, g.ev, g.ealive
+    m = len(eu)
+    union = _DSU(g.n).union
     for e in sorted(edges):
-        try:
-            u, v = g.endpoints(e)
-        except GraphError:
+        if not (0 <= e < m and ealive[e]):
             return f"{name} edge {e} is not a live edge"
-        if not dsu.union(u, v):
+        u, v = eu[e], ev[e]
+        if not union(u, v):
             return f"{name} edge {e} ({u}, {v}) closes a cycle"
     return None  # n-1 acyclic edges on n vertices must span
 
@@ -281,12 +275,15 @@ def certificate_violation(g: LabeledMultigraph, cert: Certificate) -> Optional[s
         cyc_pairs = [frozenset((cyc[i], cyc[(i + 1) % 4])) for i in range(4)]
         chord_pairs = {frozenset((cyc[0], cyc[2])), frozenset((cyc[1], cyc[3]))}
         pair_to_edges: Dict[frozenset, List[int]] = {p: [] for p in cyc_pairs}
-        for e in g.edge_ids():
-            key = frozenset(g.endpoints(e))
+        on_cycle = set(cyc)
+        for e, u, v, alive in zip(itertools.count(), g.eu, g.ev, g.ealive):
+            if not (alive and u in on_cycle and v in on_cycle):
+                continue
+            key = frozenset((u, v))
             if key in pair_to_edges:
                 pair_to_edges[key].append(e)
             if key in chord_pairs:
-                return f"edge {e} {g.endpoints(e)} is a chord of the central cycle"
+                return f"edge {e} ({u}, {v}) is a chord of the central cycle"
         for p in cyc_pairs:
             found = pair_to_edges[p]
             if len(found) != 1:

@@ -12,6 +12,7 @@ from tcreal.graphstore import (
     FLAG_T1,
     FLAG_T2,
     Certificate,
+    GraphError,
     build_fixed,
 )
 from tcreal.realize import realize_tc
@@ -54,10 +55,9 @@ def test_is_simple_requires_total_positive_labels():
 
 
 def test_is_simple_rejects_bool_and_float_labels():
-    g = labeled_cycle([1, 2, 3, 4])
-    assert not is_simple(g, labels={0: True, 1: 2, 2: 3, 3: 4})
-    assert not is_simple(g, labels={0: 1, 1: 1.5, 2: 3, 3: 4})
-    assert simplicity_violation(g, labels={0: 1, 1: 1.5, 2: 3, 3: 4}) == (
+    assert not is_simple(labeled_cycle([True, 2, 3, 4]))
+    assert not is_simple(labeled_cycle([1, 1.5, 3, 4]))
+    assert simplicity_violation(labeled_cycle([1, 1.5, 3, 4])) == (
         "edge 1 has label 1.5, not a positive integer"
     )
 
@@ -71,8 +71,51 @@ def test_is_proper_detects_adjacent_equal_labels():
 
 
 def test_external_label_map_overrides_stored():
+    # The checkers read the labels stored on the graph at call time.
     g = labeled_cycle([1, 1, 2, 2])
-    assert is_proper(g, labels={0: 1, 1: 2, 2: 1, 3: 2})
+    assert not is_proper(g)
+    g.elabel[:] = [1, 2, 1, 2]
+    assert is_proper(g)
+
+
+def test_unlabeled_edge_is_named():
+    g = labeled_cycle([1, 2, None, 4])
+    for check in (properness_violation, tc_violation):
+        with pytest.raises(GraphError, match="^edge 2 has no label$"):
+            check(g)
+    with pytest.raises(GraphError, match="^edge 2 has no label$"):
+        earliest_arrival(g, 0)
+
+
+def per_vertex_properness_violation(g):
+    """Reference for ``properness_violation``'s witness: scan vertices in
+    increasing order, each vertex's edges in ``incident`` order."""
+    for v in range(g.n):
+        seen = {}
+        for e in g.incident(v):
+            t = g.elabel[e]
+            if t in seen:
+                return f"edges {seen[t]} and {e} at vertex {v} share label {t}"
+            seen[t] = e
+    return None
+
+
+def test_properness_witness_with_parallel_edges():
+    # Edges 0 and 1 are parallel with one label (a clash at vertex 1, seen
+    # first); vertex 0 clashes later in id order and is the smaller vertex.
+    g = build_fixed(
+        "multi", 7,
+        [(1, 2, 0), (2, 1, 0), (0, 3, 0), (0, 4, 0), (0, 5, 0), (0, 6, 0)],
+    )
+    g.elabel[:] = [5, 5, 7, 7, 9, 9]
+    expected = "edges 2 and 3 at vertex 0 share label 7"
+    assert properness_violation(g) == per_vertex_properness_violation(g) == expected
+    g.elabel[2] = 8
+    expected = "edges 4 and 5 at vertex 0 share label 9"
+    assert properness_violation(g) == per_vertex_properness_violation(g) == expected
+    g.elabel[4] = 10
+    expected = "edges 0 and 1 at vertex 1 share label 5"
+    assert properness_violation(g) == per_vertex_properness_violation(g) == expected
 
 
 def test_earliest_arrival_strict():
@@ -100,6 +143,17 @@ def test_is_tc_cycle():
     assert is_tc(labeled_cycle([1, 1, 1, 1]), strict=False)
 
 
+def test_strict_journeys_use_one_edge_per_label_class():
+    # A label class that is not a matching: under strict journeys none of
+    # its edges extends a journey that arrived by another of them.
+    assert tc_violation(labeled_cycle([1, 1, 1, 1])) == "no journey from 0 to 2"
+    assert tc_violation(labeled_cycle([1, 1, 1, 1]), strict=False) is None
+    path = build_fixed("simple", 3, [(0, 1, 0), (1, 2, 0)])
+    path.elabel[:] = [1, 1]
+    assert tc_violation(path) == "no journey from 0 to 2"
+    assert tc_violation(path, strict=False) is None
+
+
 def test_is_tc_trivial_sizes():
     assert is_tc(build_fixed("simple", 0, []))
     assert is_tc(build_fixed("simple", 1, []))
@@ -122,17 +176,57 @@ def mutated_realizations():
             yield g
 
 
+def first_unreached_pair(g, strict):
+    """Reference for ``tc_violation``: one ``earliest_arrival`` per source."""
+    for src in range(g.n):
+        arrival = earliest_arrival(g, src, strict=strict)
+        if INF in arrival:
+            return f"no journey from {src} to {arrival.index(INF)}"
+    return None
+
+
 def test_tc_violation_names_the_first_unreached_pair():
     cases = 0
     for g in mutated_realizations():
         for strict in (True, False):
-            expected = None
-            for src in range(g.n):
-                arrival = earliest_arrival(g, src, strict=strict)
-                if INF in arrival:
-                    expected = f"no journey from {src} to {arrival.index(INF)}"
-                    break
+            expected = first_unreached_pair(g, strict)
             assert tc_violation(g, strict=strict) == expected
+            cases += expected is not None
+    assert cases > 0
+
+
+def random_realization(rng, n, mode, total):
+    """A realization of all-2s plus randomly spread degree summing to total."""
+    while True:
+        vals = [2] * n
+        for _ in range(total - 2 * n):
+            vals[rng.randrange(n)] += 1
+        res = realize_tc(DegreeSequence(vals), mode)
+        if res.realizable:
+            return res
+
+
+def test_tc_violation_matches_arrival_sweeps_on_multiword_bitsets():
+    # n above 64, so every reach set spans several machine words; the
+    # degree sums are the C4 boundary, the one-shared boundary and above.
+    rng = random.Random(5)
+    cases = 0
+    for n, mode, above in itertools.product(
+        (70, 130, 260), ("simple", "multi"), (-4, -2, 2)
+    ):
+        extra = above * (n // 4) if above > 0 else above
+        res = random_realization(rng, n, mode, 4 * (n - 1) + extra)
+        g, top = res.graph, res.labeling.max_label
+        assert tc_violation(g) is tc_violation(g, strict=False) is None
+        kind = rng.choice(("one label", "one vertex"))
+        if kind == "one label":
+            g.elabel[rng.choice(list(g.edge_ids()))] = rng.randint(1, top + 1)
+        else:
+            for e in g.incident(rng.randrange(n)):
+                g.elabel[e] = rng.randint(1, top + 1)
+        for strict in (True, False):
+            expected = first_unreached_pair(g, strict)
+            assert tc_violation(g, strict=strict) == expected, (n, mode, kind)
             cases += expected is not None
     assert cases > 0
 
@@ -148,6 +242,7 @@ def test_properness_violation_names_a_real_clash():
         proper = all(len(set(labs)) == len(labs) for labs in at)
         reason = properness_violation(g)
         assert (reason is None) == proper
+        assert reason == per_vertex_properness_violation(g)
         if reason is not None:
             m = re.fullmatch(r"edges (\d+) and (\d+) at vertex (\d+) share label (\d+)",
                              reason)
@@ -215,6 +310,49 @@ def test_validate_certificate_two_shared_needs_induced_cycle():
     assert not validate_certificate(chorded, chorded.certificate_from_flags())
     assert certificate_violation(chorded, chorded.certificate_from_flags()) == (
         "edge 4 (0, 2) is a chord of the central cycle"
+    )
+
+
+def test_certificate_rejects_dead_and_unknown_tree_edges():
+    g = build_fixed(
+        "simple", 4,
+        [(0, 1, FLAG_BOTH), (1, 2, FLAG_T1), (2, 0, FLAG_T2), (3, 0, FLAG_BOTH)],
+    )
+    g.remove_edge(3)
+    cert = Certificate(tree1={0, 1, 3}, tree2={0, 2, 3}, shared={0, 3})
+    assert certificate_violation(g, cert) == "tree 1 edge 3 is not a live edge"
+    for bad in (4, -1):
+        cert = Certificate(tree1={0, 1, bad}, tree2={0, 2, 3}, shared={0})
+        assert certificate_violation(g, cert) == (
+            f"tree 1 edge {bad} is not a live edge"
+        )
+
+
+def test_certificate_rejects_a_doubled_ring_pair():
+    g = build_fixed(
+        "multi", 4,
+        [(0, 1, FLAG_BOTH), (1, 2, FLAG_T1), (2, 3, FLAG_BOTH),
+         (3, 0, FLAG_T2), (2, 1, 0)],
+        central_cycle=(0, 1, 2, 3),
+    )
+    assert certificate_violation(g, g.certificate_from_flags()) == (
+        "central cycle pair (1, 2) has 2 edges, not 1"
+    )
+    g.remove_edge(4)  # a dead slot on the ring pair does not count
+    assert certificate_violation(g, g.certificate_from_flags()) is None
+
+
+def test_certificate_rejects_a_shared_edge_off_the_cycle():
+    # Both trees span the 4-cycle 0-1-2-3 plus vertex 4 and share edges
+    # 0-1 (on the cycle) and 3-4 (off it).
+    g = build_fixed(
+        "simple", 5,
+        [(0, 1, FLAG_BOTH), (1, 2, FLAG_T1), (2, 3, FLAG_T2),
+         (3, 0, FLAG_T1), (3, 4, FLAG_BOTH), (1, 4, FLAG_T2)],
+        central_cycle=(0, 1, 2, 3),
+    )
+    assert certificate_violation(g, g.certificate_from_flags()) == (
+        "shared edge 4 is not on the central cycle"
     )
 
 
