@@ -60,12 +60,22 @@ def _read_sequences(args: argparse.Namespace) -> List[DegreeSequence]:
     return out
 
 
-def _print_report(report: Dict, fmt: str, out: TextIO) -> None:
+def _joined(d: DegreeSequence, sep: str) -> str:
+    """The entries of ``d`` joined by ``sep``, written one run of equal
+    degrees at a time."""
+    return "".join([(str(v) + sep) * c for v, c in d.iter_buckets()])[:-len(sep)]
+
+
+def _print_report(d: DegreeSequence, report: Dict, fmt: str, out: TextIO) -> None:
+    """One report line for ``d``: its ``sequence`` field first, then the
+    other fields of ``report``.  The line equals ``json.dumps`` of the
+    whole report (or the text layout), but the sequence is written from
+    the buckets instead of one entry at a time."""
     if fmt == "json":
-        out.write(json.dumps(report) + "\n")
+        out.write(f'{{"sequence": [{_joined(d, ", ")}], {json.dumps(report)[1:]}\n')
         return
     parts = [
-        f"sequence={' '.join(str(v) for v in report['sequence'])}",
+        f"sequence={_joined(d, ' ')}",
         f"mode={report['mode']}",
         f"realizable={'yes' if report['realizable'] else 'no'}",
         f"reason={report['reason']}",
@@ -79,7 +89,6 @@ def _print_report(report: Dict, fmt: str, out: TextIO) -> None:
 def _base_report(d: DegreeSequence, mode: str) -> Dict:
     decision = check_tc_realizable(d, mode)
     return {
-        "sequence": d.entries,
         "mode": mode,
         "realizable": decision.realizable,
         "reason": decision.reason.value,
@@ -95,7 +104,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         report = _base_report(d, args.mode)
         report["ms"] = round(1000 * (time.perf_counter() - t0), 3)
-        _print_report(report, args.format, sys.stdout)
+        _print_report(d, report, args.format, sys.stdout)
         if not report["realizable"]:
             worst = EXIT_NO
     return worst
@@ -111,7 +120,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     result = realize_tc(d, args.mode)
     elapsed = round(1000 * (time.perf_counter() - t0), 3)
     report = {
-        "sequence": d.entries,
         "mode": args.mode,
         "realizable": result.realizable,
         "reason": result.decision.reason.value,
@@ -120,7 +128,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         "ms": elapsed,
     }
     if not result.realizable:
-        _print_report(report, "text" if args.format == "dot" else args.format,
+        _print_report(d, report, "text" if args.format == "dot" else args.format,
                       sys.stdout)
         return EXIT_NO
     g, cert, labeling = result.graph, result.certificate, result.labeling
@@ -148,7 +156,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(document)
             fh.write("\n")
-        _print_report(report, "text" if args.format == "dot" else args.format,
+        _print_report(d, report, "text" if args.format == "dot" else args.format,
                       sys.stdout)
     else:
         sys.stdout.write(document)

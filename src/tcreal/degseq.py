@@ -9,7 +9,8 @@ decreasing values, which makes laying off an entry of value ``d`` an
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator, List, Tuple
+from collections import Counter
+from typing import Iterable, Iterator, List, Mapping, Tuple
 
 __all__ = [
     "DegreeSequence",
@@ -69,30 +70,17 @@ class DegreeSequence:
         self.tail: _Bucket | None = None
         self.n = 0
         self.total = 0
-        vals = sorted(values, reverse=True)
-        for v in vals:
-            if v < 0:
-                raise ValueError("degrees must be non-negative")
-            self._append_entry(v)
+        self._splice_counts(Counter(values))
 
     # -- construction helpers -------------------------------------------------
 
-    def _append_entry(self, v: int) -> None:
-        """Append one entry of value ``v``; requires v <= current minimum."""
-        if self.tail is not None and self.tail.value < v:
-            raise ValueError("entries must be appended in non-increasing order")
-        if self.tail is not None and self.tail.value == v:
-            self.tail.count += 1
-        else:
-            node = _Bucket(v, 1)
-            node.prev = self.tail
-            if self.tail is None:
-                self.head = node
-            else:
-                self.tail.next = node
-            self.tail = node
-        self.n += 1
-        self.total += v
+    def _splice_counts(self, counts: Mapping[int, int]) -> None:
+        """Fill an empty sequence from ``counts`` (value -> multiplicity),
+        one bucket per distinct value, largest first."""
+        if counts and min(counts) < 0:
+            raise ValueError("degrees must be non-negative")
+        for v in sorted(counts, reverse=True):
+            self._splice_tail(v, counts[v])
 
     def _unlink(self, node: _Bucket) -> None:
         if node.prev is None:
@@ -468,23 +456,51 @@ def lay_off_graphical(d: DegreeSequence, i: int) -> DegreeSequence:
     """
     if not 1 <= i <= d.n:
         raise IndexError(f"index {i} out of range for sequence of length {d.n}")
-    value = d.degree_at(i)
+    # The last entry is the tail bucket's: take it without walking from
+    # the head, so laying off the minimum costs O(d_n).
+    value = d.tail.value if i == d.n else d.degree_at(i)
     if value >= d.n:
         raise ValueError(f"entry {value} cannot connect to {value} distinct other vertices")
-    d.remove_entry_of_value(value)
+    if i == d.n:
+        d.remove_min_entry()
+    else:
+        d.remove_entry_of_value(value)
     d.decrement_top(value)
     if debug_asserts_enabled():
         d._check_consistency()
     return d
 
 
+def _shown(token: str) -> str:
+    """``token`` quoted for an error message, cut short if it is long."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:40]!r}... ({len(token)} characters)"
+
+
 def parse_sequence(text: str) -> DegreeSequence:
-    """Parse whitespace- or comma-separated decimal degrees."""
-    tokens = text.replace(",", " ").split()
-    try:
-        values = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise ValueError(f"malformed degree sequence: {text!r}") from exc
-    if any(v < 0 for v in values):
-        raise ValueError(f"negative degree in sequence: {text!r}")
-    return DegreeSequence(values)
+    """Parse degrees written in ASCII decimal digits, separated by
+    whitespace or commas.
+
+    Counts the tokens first, so each distinct token is checked and
+    converted once and the buckets are spliced one run per distinct
+    value.  Any other token raises ``ValueError`` naming the first bad
+    one: ``-`` and digits as a negative degree, everything else (``+3``,
+    ``1_0``, non-ASCII digits, more digits than ``int`` takes) as
+    malformed.
+    """
+    values: Counter = Counter()
+    for token, count in Counter(text.replace(",", " ").split()).items():
+        if not (token.isascii() and token.isdigit()):
+            digits = token[1:]
+            if token[0] == "-" and digits.isascii() and digits.isdigit():
+                raise ValueError(f"negative degree in sequence: {_shown(token)}")
+            raise ValueError(f"malformed degree sequence: bad token {_shown(token)}")
+        try:
+            values[int(token)] += count
+        except ValueError as exc:  # beyond int()'s digit limit
+            raise ValueError(
+                f"malformed degree sequence: bad token {_shown(token)}") from exc
+    d = DegreeSequence()
+    d._splice_counts(values)
+    return d

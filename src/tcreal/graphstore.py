@@ -529,7 +529,8 @@ class LabeledMultigraph:
     def from_json(cls, text: str) -> "LabeledMultigraph":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested too deep to decode.
             raise GraphError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(data)
 

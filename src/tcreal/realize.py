@@ -801,14 +801,18 @@ def realize_nonstrict(d: DegreeSequence, mode: str = "simple") -> RealizeResult:
             g.attach_vertex([v for v, c in targets for _ in range(c)])
     else:
         # Peel single edges between the largest and the smallest
-        # positive entries, then replay them.
+        # positive entries, then replay them.  Zeros collect in the tail
+        # bucket, so the smallest positive entry is the tail or the
+        # bucket before it.
         edge_plan: List[Tuple[int, int]] = []
         while cur.total > 0:
             d1 = cur.max_degree
+            last = cur.tail
             idx = cur.n
-            while cur.degree_at(idx) == 0:
-                idx -= 1
-            vj = cur.degree_at(idx)
+            if last.value == 0:
+                idx -= last.count
+                last = last.prev
+            vj = last.value
             if idx < 2:
                 raise GraphError("multigraph residual degenerated")
             edge_plan.append((d1 - 1, vj - 1))

@@ -1,8 +1,13 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tcreal.cli import main
 from tcreal.degseq import DegreeSequence
@@ -38,6 +43,16 @@ def test_check_parse_error(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "+3", "-0", "3.0"])
+def test_check_rejects_non_ascii_digit_tokens(capsys, token):
+    code, out, err = run(capsys, "check", *["2"] * 10_000, token, "x")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert err.rstrip().endswith(repr(token))
+    assert len(err) < 100
+
+
 def test_check_json_format(capsys):
     code, out, _ = run(capsys, "check", "--format", "json", "3,3,3,3")
     assert code == 0
@@ -61,6 +76,33 @@ def test_check_multi_mode(capsys):
     assert code == 0
     code, _, _ = run(capsys, "check", "--mode", "simple", "4,2,2,2,2")
     assert code == 1
+
+
+def test_check_report_lines_keep_their_layout(capsys, monkeypatch):
+    import random
+
+    rng = random.Random(4)
+    seqs = [[], [5], list(range(40, 0, -1)) + [7] * 9,
+            [rng.randrange(2000) for _ in range(2000)], [0, 0, 3]]
+    stdin = ",\n" + "".join(" ".join(map(str, s)) + "\n" for s in seqs[1:])
+    lines = {}
+    for fmt in ("json", "text"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        _, out, _ = run(capsys, "check", "--format", fmt)
+        lines[fmt] = out.splitlines()
+    assert len(lines["json"]) == len(lines["text"]) == len(seqs)
+    for values, line, text in zip(seqs, lines["json"], lines["text"]):
+        report = json.loads(line)
+        assert json.dumps(report) == line
+        assert report["sequence"] == sorted(values, reverse=True)
+        layout = "  ".join([
+            f"sequence={' '.join(str(v) for v in report['sequence'])}",
+            f"mode={report['mode']}",
+            f"realizable={'yes' if report['realizable'] else 'no'}",
+            f"reason={report['reason']}",
+            f"n={report['n']}", f"m={report['m']}",
+        ])
+        assert text.rsplit("  ms=", 1)[0] == layout
 
 
 # -- build ----------------------------------------------------------------
@@ -242,6 +284,85 @@ def test_verify_rejects_coerced_values(capsys, tmp_path, doc):
     assert code == 2
     assert out == ""
     assert err.startswith("cannot load graph: ")
+
+
+def test_verify_rejects_deeply_nested_json(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot load graph: invalid JSON: ")
+
+
+# Integers stay small: a document's n is allocated up front, and capping
+# it is a separate open item.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["simple", "multi", "t1", "t2", "both", "none"]),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(
+        st.sampled_from(["mode", "n", "edges", "central_cycle", "id", "u",
+                         "v", "tree", "label"]) | st.text(max_size=3),
+        children, max_size=5),
+    max_leaves=12,
+)
+VALID_DOCS = [
+    realize_tc(DegreeSequence(values), mode).graph.to_json_dict()
+    for values, mode in [([3] * 6, "simple"), ([4, 2, 2, 2, 2], "multi")]
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with a few fields replaced or deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        edges = doc.get("edges")
+        if draw(st.booleans()) and type(edges) is list and edges and all(
+                type(rec) is dict for rec in edges):
+            obj = draw(st.sampled_from(edges))
+            key = draw(st.sampled_from(["id", "u", "v", "tree", "label"]))
+        else:
+            obj = doc
+            key = draw(st.sampled_from(["mode", "n", "edges", "central_cycle"]))
+        if draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(JSON_VALUES)
+    return doc
+
+
+@st.composite
+def document_texts(draw):
+    """Random JSON, mutated documents, and documents with text cut out
+    or spliced in."""
+    kind = draw(st.sampled_from(["value", "document", "text"]))
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES))
+    if kind == "document":
+        return json.dumps(draw(mutated_documents()))
+    text = json.dumps(draw(st.sampled_from(VALID_DOCS)))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 8)))
+    return text[:i] + draw(st.text(alphabet='[]{}",:0123456789-.e ', max_size=4)) + text[j:]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document_texts())
+def test_verify_fuzz_never_crashes(tmp_path, text):
+    path = tmp_path / "fuzz.json"
+    path.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", str(path)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert out.getvalue().startswith("OK")
+        assert all(type(rec["label"]) is int for rec in json.loads(text)["edges"])
+    else:
+        assert not out.getvalue().startswith("OK")
 
 
 # -- oracle ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Degree-sequence storage, graphicality tests, and laying-off steps."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -253,13 +254,91 @@ def test_lay_off_errors():
         lay_off_graphical(DegreeSequence([2, 2, 2]), 4)
 
 
+@st.composite
+def graphical_sequences(draw):
+    """The degrees of a random simple graph on 1 to 14 vertices."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda p: p[0] < p[1]), max_size=3 * n))
+    degrees = [0] * n
+    for u, v in pairs:
+        degrees[u] += 1
+        degrees[v] += 1
+    return degrees
+
+
+@given(graphical_sequences())
+def test_tail_lay_off_matches_the_generic_path(values):
+    d = DegreeSequence(values)
+    generic = d.copy()
+    value = generic.degree_at(generic.n)
+    generic.remove_entry_of_value(value)
+    generic.decrement_top(value)
+    lay_off_graphical(d, d.n)
+    d._check_consistency()
+    assert d == generic
+
+
 # -- parsing ------------------------------------------------------------------
 
 
 def test_parse_sequence():
     assert parse_sequence("3 3, 2,2").entries == [3, 3, 2, 2]
     assert parse_sequence("").entries == []
+    assert parse_sequence(" 02 2,002 , 10 ").entries == [10, 2, 2, 2]
     with pytest.raises(ValueError):
         parse_sequence("2 x 2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative degree"):
         parse_sequence("3 -1")
+    with pytest.raises(ValueError, match="negative degree in sequence: '-0'"):
+        parse_sequence("2 -0 2")
+    # Only ASCII decimal digits; int() alone takes the first four.
+    for bad in ("+3", "1_0", "\u0663", "\uff13", "3.0", "0x3", "-", "3-"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"malformed degree sequence: bad token {bad!r}")):
+            parse_sequence(f"2 2 {bad} 2")
+    # Beyond int()'s digit limit: malformed, and the token is cut short.
+    with pytest.raises(ValueError, match=r"\(5000 characters\)$"):
+        parse_sequence("2 " + "9" * 5000)
+
+
+def test_parse_error_names_the_first_bad_token_only():
+    text = " ".join(["4"] * 100_000 + ["x7", "y"])
+    with pytest.raises(ValueError) as info:
+        parse_sequence(text)
+    assert str(info.value) == "malformed degree sequence: bad token 'x7'"
+
+
+@st.composite
+def spelled_sequences(draw):
+    """Random degrees written with leading zeros and any mix of spaces
+    and commas between and around them."""
+    values = draw(st.lists(st.integers(min_value=0, max_value=3000), max_size=40))
+    seps = st.text(alphabet=" ,", min_size=1, max_size=3)
+    text = draw(st.text(alphabet=" ,", max_size=2))
+    for v in values:
+        text += "0" * draw(st.integers(min_value=0, max_value=3)) + str(v)
+        text += draw(seps)
+    return values, text
+
+
+@given(spelled_sequences())
+def test_parse_sequence_matches_the_values(case):
+    values, text = case
+    d = parse_sequence(text)
+    d._check_consistency()
+    assert d.entries == sorted(values, reverse=True)
+    assert d == DegreeSequence(values)
+
+
+@given(st.text())
+def test_parse_sequence_accepts_exactly_ascii_digit_tokens(text):
+    tokens = text.replace(",", " ").split()
+    valid = all(t.isascii() and t.isdigit() for t in tokens)
+    try:
+        d = parse_sequence(text)
+    except ValueError:
+        assert not valid
+    else:
+        assert valid
+        assert d.entries == sorted(map(int, tokens), reverse=True)

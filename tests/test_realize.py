@@ -1,5 +1,8 @@
 """Decision procedure and the constructive realization routes."""
 
+import gc
+import time
+
 import pytest
 
 from tcreal.degseq import DegreeSequence, set_debug_asserts
@@ -289,3 +292,22 @@ def test_nonstrict_multi_parallel_heavy():
         res = realize_nonstrict(DegreeSequence(tup), "multi")
         assert res.realizable
         assert is_tc(res.graph, strict=False), tup
+
+
+def test_nonstrict_multi_peel_scales_linearly():
+    # Same gate as test_6 (min of 3, at most 2.6x per doubling).  The
+    # peel once rescanned the accumulated zeros for every edge, ~4x per
+    # doubling on this family.  Each round times every size, so a slow
+    # phase of the host hits all sizes alike.
+    sizes = (20_000, 40_000, 80_000)
+    times = dict.fromkeys(sizes, float("inf"))
+    for _ in range(3):
+        for n in sizes:
+            d = DegreeSequence([4] * n)
+            gc.collect()
+            t0 = time.perf_counter()
+            res = realize_nonstrict(d, "multi")
+            times[n] = min(times[n], time.perf_counter() - t0)
+            assert res.realizable
+    assert times[40_000] / times[20_000] <= 2.6, times
+    assert times[80_000] / times[40_000] <= 2.6, times
