@@ -10,16 +10,15 @@ wins), which is all the constructions need.
 
 The constructions mostly append edges, so the store keeps flat per-edge
 lists (endpoints, flags, liveness, labels) plus the degrees and buckets.
-Two indexes are built in one O(n + m) pass on first use: the per-vertex
-adjacency by ``incident``, and in simple mode the endpoint-pair index
-that rejects parallel edges by the first ``add_edge`` (which
-``from_json`` uses for every edge).  Once built, ``add_edge`` and
-``remove_edge`` keep them current.  The trusted bulk primitives skip
-the pair index: ``attach_vertex`` and the degree-3 insertions add only
-edges ending at a brand-new vertex, which cannot be parallel, so they
-drop it (the insertions drop the adjacency too) and the next use
-rebuilds it.  The constructions switch between the two kinds of
-addition a bounded number of times, so the rebuilds stay linear.
+In simple mode an endpoint-pair index rejects parallel edges; it is
+built in one O(n + m) pass by the first ``add_edge`` (which
+``from_json`` uses for every edge), and ``add_edge`` and ``remove_edge``
+keep it current.  The trusted bulk primitives skip it: ``attach_vertex``
+and the degree-3 insertions add only edges ending at a brand-new vertex,
+which cannot be parallel, so they drop the index and the next
+``add_edge`` rebuilds it.  The constructions switch between the two
+kinds of addition a bounded number of times, so the rebuilds stay
+linear.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain, compress, count
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "FLAG_NONE",
@@ -93,9 +92,9 @@ class LabeledMultigraph:
         self.ealive: List[bool] = []
         self.vdeg: List[int] = []
         self._buckets: Dict[int, List[int]] = {}
-        # Indexes built on first use; None until then or once dropped.
-        self._adj: Optional[List[List[int]]] = None
-        self._pairs: Optional[Set[int]] = None  # simple mode: packed endpoint pairs
+        # Simple mode: packed endpoint pairs, built on first use; None
+        # until then or once dropped.
+        self._pairs: Optional[Set[int]] = None
         self.central_cycle: Optional[Tuple[int, int, int, int]] = None
 
     # -- basic accessors ------------------------------------------------------
@@ -118,16 +117,6 @@ class LabeledMultigraph:
             raise GraphError(f"unknown edge id {e}")
         return self.eu[e], self.ev[e]
 
-    def incident(self, v: int) -> List[int]:
-        """Live edge ids incident to v, in the order they were added."""
-        adj = self._adj
-        if adj is None:
-            adj = self._adj = self._build_adjacency()
-        ealive = self.ealive
-        live = [e for e in adj[v] if ealive[e]]
-        adj[v] = live
-        return live
-
     def degree(self, v: int) -> int:
         return self.vdeg[v]
 
@@ -138,16 +127,7 @@ class LabeledMultigraph:
         a, b = (u, v) if u < v else (v, u)
         return a * (1 << 32) + b
 
-    # -- on-demand indexes -----------------------------------------------------
-
-    def _build_adjacency(self) -> List[List[int]]:
-        """Per-vertex live edge ids, in one pass over the edge lists."""
-        adj: List[List[int]] = [[] for _ in self.vdeg]
-        for e, u, v, alive in zip(count(), self.eu, self.ev, self.ealive):
-            if alive:
-                adj[u].append(e)
-                adj[v].append(e)
-        return adj
+    # -- on-demand pair index ---------------------------------------------------
 
     def _build_pairs(self) -> Set[int]:
         """Packed endpoint pairs of the live edges, in one pass."""
@@ -157,17 +137,11 @@ class LabeledMultigraph:
             if alive
         }
 
-    def _drop_indexes(self) -> None:
-        self._adj = None
-        self._pairs = None
-
     # -- vertex / edge mutation ----------------------------------------------
 
     def add_vertex(self) -> int:
         v = len(self.vdeg)
         self.vdeg.append(0)
-        if self._adj is not None:
-            self._adj.append([])
         self._bucket_push(0, v)
         return v
 
@@ -203,10 +177,6 @@ class LabeledMultigraph:
         self.eflag.append(flag)
         self.elabel.append(None)
         self.ealive.append(True)
-        adj = self._adj
-        if adj is not None:
-            adj[u].append(e)
-            adj[v].append(e)
         vdeg = self.vdeg
         buckets = self._buckets
         du = vdeg[u] + 1
@@ -235,39 +205,6 @@ class LabeledMultigraph:
             self.vdeg[x] -= 1
             self._bucket_push(self.vdeg[x], x)
 
-    def replace_edge_with_degree3_vertex(
-        self, u: int, pick: int
-    ) -> Tuple[int, int]:
-        """Fused step: add a vertex w joined to u (tree 1) and to both
-        endpoints of edge ``pick`` (tree 2), deleting ``pick``.
-
-        Equivalent to remove_edge + add_vertex + three add_edge calls,
-        but skips bucket updates for the two endpoints of ``pick`` whose
-        degrees are unchanged overall.  Returns (w, first tree-2 edge).
-        """
-        eu, ev = self.eu, self.ev
-        if not self.ealive[pick]:
-            raise GraphError(f"unknown edge id {pick}")
-        a, b = eu[pick], ev[pick]
-        if u == a or u == b:
-            raise GraphError("replacement edge must avoid the tree-1 anchor")
-        self._drop_indexes()
-        self.ealive[pick] = False
-        self.eflag[pick] = FLAG_NONE
-        vdeg = self.vdeg
-        w = len(vdeg)
-        e1 = len(eu)
-        eu += (u, a, b)
-        ev += (w, w, w)
-        self.eflag += (FLAG_T1, FLAG_T2, FLAG_T2)
-        self.elabel += (None, None, None)
-        self.ealive += (True, True, True)
-        vdeg.append(3)
-        vdeg[u] += 1
-        self._bucket_push(vdeg[u], u)
-        self._bucket_push(3, w)
-        return w, e1 + 1
-
     def replay_degree3_insertions(
         self, old_maxima: Sequence[int], t2_pair: Tuple[int, int]
     ) -> Tuple[int, int]:
@@ -275,19 +212,21 @@ class LabeledMultigraph:
 
         For each old maximum d1: pick a vertex u of current degree d1 - 1,
         choose from ``t2_pair`` (two vertex-disjoint tree-2 edges) one edge
-        avoiding u, and run ``replace_edge_with_degree3_vertex`` on it.
-        The pair is maintained by replacing the used edge with one of the
-        two new tree-2 edges; the updated pair is returned.  This is the
-        inner loop of the tight-sum construction: the lists whose new
-        entries do not depend on the choices (flags, labels, liveness,
-        the new vertices' ends and degrees) are extended once up front,
-        and the loop writes only what the choices decide.
+        avoiding u, delete it, and add a vertex w joined to u (tree 1) and
+        to both ends of that edge (tree 2); of the old vertices only u's
+        degree changes.  The pair is maintained by replacing the used
+        edge with one of the two new tree-2 edges; the updated pair is
+        returned.  This is the inner loop of the tight-sum construction:
+        the lists whose new entries do not depend on the choices (flags,
+        labels, liveness, the new vertices' ends and degrees) are
+        extended once up front, and the loop writes only what the
+        choices decide.
         """
         k = len(old_maxima)
         eu, ev = self.eu, self.ev
         eflag, ealive, vdeg = self.eflag, self.ealive, self.vdeg
         buckets = self._buckets
-        self._drop_indexes()
+        self._pairs = None
         w0 = len(vdeg)
         e0 = len(eu)
         new_vertices = range(w0, w0 + k)
@@ -410,7 +349,7 @@ class LabeledMultigraph:
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> bool:
-        """All store invariants: degrees vs adjacency, mode, labels."""
+        """All store invariants: degrees vs edges, mode, labels."""
         deg = [0] * self.n
         seen_pairs: Dict[int, int] = {}
         for e in self.edge_ids():
@@ -551,18 +490,3 @@ class LabeledMultigraph:
         lines.append("}")
         return "\n".join(lines)
 
-
-def build_fixed(
-    mode: str,
-    n: int,
-    edges: Iterable[Tuple[int, int, int]],
-    central_cycle: Optional[Tuple[int, int, int, int]] = None,
-) -> LabeledMultigraph:
-    """Construct a graph from an explicit (u, v, flag) edge list."""
-    g = LabeledMultigraph(mode)
-    for _ in range(n):
-        g.add_vertex()
-    for u, v, flag in edges:
-        g.add_edge(u, v, flag)
-    g.central_cycle = central_cycle
-    return g

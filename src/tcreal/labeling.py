@@ -13,37 +13,35 @@ strictly increasing journeys connect every ordered vertex pair:
 
 Edges outside both trees receive fresh labels above everything else, so
 they can never break an existing journey.
+
+The labels are written straight into the graph's ``elabel`` list; the
+returned ``TemporalLabeling`` carries only the largest label used.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, filterfalse
+from collections import deque
+from itertools import chain, compress, count
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .graphstore import (
-    FLAG_BOTH,
-    FLAG_T1,
-    FLAG_T2,
-    Certificate,
-    GraphError,
-    LabeledMultigraph,
-)
+from .graphstore import Certificate, GraphError, LabeledMultigraph
 
 __all__ = ["TemporalLabeling", "pivot_label"]
 
 
 @dataclass
 class TemporalLabeling:
-    """Edge-id -> positive label map, with the maximum label used."""
+    """The maximum label used; the labels themselves live in ``g.elabel``."""
 
-    assignment: Dict[int, int]
     max_label: int
 
-    def apply(self, g: LabeledMultigraph) -> None:
-        elabel = g.elabel
-        for e, lab in self.assignment.items():
-            elabel[e] = lab
+
+def _write_labels(
+    elabel: List[Optional[int]], edges: Iterable[int], first: int
+) -> None:
+    """Give ``edges`` the consecutive labels first, first + 1, ..."""
+    deque(map(elabel.__setitem__, edges, count(first)), maxlen=0)
 
 
 def _layered_order(
@@ -131,13 +129,15 @@ def _cycle_edge_ids(
 def pivot_label(g: LabeledMultigraph, cert: Certificate) -> TemporalLabeling:
     """Label the graph so it is temporally connected under strict journeys.
 
-    Requires a valid certificate: two spanning trees covering every edge,
-    sharing at most two edges; two shared edges must lie on the recorded
-    central 4-cycle.
+    Writes every live edge's label into ``g.elabel``, after clearing the
+    list so no earlier label survives.  Requires a valid certificate: two
+    spanning trees covering every edge, sharing at most two edges; two
+    shared edges must lie on the recorded central 4-cycle.
     """
+    elabel = g.elabel
+    elabel[:] = [None] * len(elabel)
     if g.n == 0:
-        return TemporalLabeling({}, 0)
-    assignment: Dict[int, int] = {}
+        return TemporalLabeling(0)
 
     if cert.central_cycle is not None:
         roots: List[int] = list(cert.central_cycle)
@@ -165,7 +165,8 @@ def pivot_label(g: LabeledMultigraph, cert: Certificate) -> TemporalLabeling:
     # increase along every path toward the root set.
     up_order = _layered_order(g, up_edges, roots)
     t_r = len(up_order)
-    assignment.update(zip(reversed(up_order), range(1, t_r + 1)))
+    _write_labels(elabel, reversed(up_order), 1)
+    top = t_r
 
     # Central core.
     if cert.central_cycle is not None:
@@ -175,31 +176,27 @@ def pivot_label(g: LabeledMultigraph, cert: Certificate) -> TemporalLabeling:
         if min(pair_b) < min(pair_a):
             pair_a, pair_b = pair_b, pair_a
         for e in pair_a:
-            assignment[e] = t_r + 1
+            elabel[e] = t_r + 1
         for e in pair_b:
-            assignment[e] = t_r + 2
+            elabel[e] = t_r + 2
+        top = t_r + 2
     elif central:
         (s,) = central
-        assignment[s] = t_r + 1
+        elabel[s] = t_r + 1
+        top = t_r + 1
 
     # Distribution phase: shallowest first, strictly increasing outward.
     down_order = _layered_order(g, down_edges, roots)
-    assignment.update(
-        zip(down_order, range(t_r + 3, t_r + 3 + len(down_order)))
-    )
-
-    # The last distribution label is the largest one used so far.
+    _write_labels(elabel, down_order, t_r + 3)
     if down_order:
         top = t_r + 2 + len(down_order)
-    else:
-        top = max(assignment.values(), default=0)
-    # Anything outside both trees gets fresh labels on top.  When every
-    # labeled edge is live and the counts agree, no live edge is left
-    # unlabeled and the sweep over all edge slots is skipped.
+
+    # Anything outside both trees gets fresh labels on top.  When the
+    # trees labeled every live edge, the sweep over all edge slots is
+    # skipped.
     ealive = g.ealive
-    if len(assignment) == g.num_edges and all(map(ealive.__getitem__, assignment)):
-        return TemporalLabeling(assignment, top)
-    live = compress(count(), ealive)
-    extra = list(filterfalse(assignment.__contains__, live))
-    assignment.update(zip(extra, range(top + 1, top + 1 + len(extra))))
-    return TemporalLabeling(assignment, top + len(extra))
+    if None not in compress(elabel, ealive):
+        return TemporalLabeling(top)
+    extra = [e for e in compress(count(), ealive) if elabel[e] is None]
+    _write_labels(elabel, extra, top + 1)
+    return TemporalLabeling(top + len(extra))

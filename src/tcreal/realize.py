@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from itertools import compress, count
+from typing import Dict, List, Optional, Tuple
 
 from . import bases
 from .degseq import (
@@ -87,7 +88,8 @@ class RealizeResult:
 
     ``graph``, ``certificate``, and ``labeling`` are populated only when
     the decision is positive (``certificate`` stays None in non-strict
-    mode, which needs no two-tree witness).
+    mode, which needs no two-tree witness).  The labels live in
+    ``graph.elabel``; ``labeling`` carries the largest one.
     """
 
     decision: Decision
@@ -190,14 +192,14 @@ def _debug_seq(cur: DegreeSequence, simple: bool) -> None:
 
 
 def build_two_edst(
-    d: DegreeSequence, mode: str = "simple", _trusted: bool = False
+    d: DegreeSequence, mode: str = "simple"
 ) -> Tuple[LabeledMultigraph, Certificate]:
     """Realize a graphical sequence with two edge-disjoint spanning trees.
 
     Requires: graphical, sum >= 4(n-1), min degree >= 2 (forcing n >= 4).
     """
     _check_mode(mode)
-    g = _two_edst_graph(d, mode, _trusted)
+    g = _two_edst_graph(d, mode)
     return g, g.certificate_from_flags()
 
 
@@ -205,12 +207,9 @@ def build_two_edst(
 # builder derives the certificate once, from the finished graph.
 
 
-def _two_edst_graph(
-    d: DegreeSequence, mode: str, trusted: bool
-) -> LabeledMultigraph:
+def _two_edst_graph(d: DegreeSequence, mode: str) -> LabeledMultigraph:
     n = d.n
-    if not trusted:
-        _require(is_graphical(d), "sequence must be graphical")
+    _require(is_graphical(d), "sequence must be graphical")
     _require(d.total >= 4 * (n - 1), "sum must be at least 4(n-1)")
     _require(n >= 4 and d.min_degree >= 2, "minimum degree must be at least 2")
     cur = d.copy()
@@ -309,7 +308,7 @@ def _two_edst_multi_graph(d: DegreeSequence) -> LabeledMultigraph:
         if debug_asserts_enabled():
             assert cur.total >= 4 * (cur.n - 1) and cur.min_degree >= 2, cur
     if graphical_tail is not None:
-        g = _two_edst_graph(graphical_tail, "multi", False)
+        g = _two_edst_graph(graphical_tail, "multi")
     else:
         if debug_asserts_enabled():
             assert cur.entries == [2, 2], cur
@@ -372,14 +371,14 @@ def _one_shared_deg3(cur: DegreeSequence, mode: str) -> LabeledMultigraph:
         red.remove_min_entry()
     red.add_entry(1)
     _debug_seq(red, simple=True)
-    g = _one_shared_graph(red, mode, True)
+    g = _one_shared_graph(red, mode)
     hub = g.find_vertex_with_degree(1)
     _attach_wheel(g, hub, k=d1 - 1)
     return g
 
 
 def build_one_shared(
-    d: DegreeSequence, mode: str = "simple", _trusted: bool = False
+    d: DegreeSequence, mode: str = "simple"
 ) -> Tuple[LabeledMultigraph, Certificate]:
     """Realize a graphical sequence with two spanning trees sharing at
     most one edge.
@@ -388,16 +387,13 @@ def build_one_shared(
     d_{n-1} >= 2 and d_n >= 1.
     """
     _check_mode(mode)
-    g = _one_shared_graph(d, mode, _trusted)
+    g = _one_shared_graph(d, mode)
     return g, g.certificate_from_flags()
 
 
-def _one_shared_graph(
-    d: DegreeSequence, mode: str, trusted: bool
-) -> LabeledMultigraph:
+def _one_shared_graph(d: DegreeSequence, mode: str) -> LabeledMultigraph:
     n = d.n
-    if not trusted:
-        _require(is_graphical(d), "sequence must be graphical")
+    _require(is_graphical(d), "sequence must be graphical")
     _require(d.total >= 4 * (n - 1) - 2, "sum must be at least 4(n-1)-2")
     _require(
         n <= 2 or (d.degree_at_from_end(2) >= 2 and d.min_degree >= 1),
@@ -418,13 +414,13 @@ def _one_shared_graph(
         cur.remove_min_entry()
         cur.decrement_one_of_value(d1)
         _debug_seq(cur, simple=True)
-        g = _two_edst_graph(cur, mode, True)
+        g = _two_edst_graph(cur, mode)
         u = g.find_vertex_with_degree(d1 - 1)
         w = g.add_vertex()
         g.add_edge(u, w, FLAG_BOTH)
         return g
     if d.total >= 4 * (n - 1):
-        return _two_edst_graph(d, mode, trusted)
+        return _two_edst_graph(d, mode)
     # sum == 4(n-1)-2 with min degree in {2, 3}.
     cur = d.copy()
     plan: List[Tuple[int, int]] = []
@@ -543,7 +539,7 @@ def _c4_merge_step(g: LabeledMultigraph, pairs: List[List[int]]) -> None:
 
 
 def build_c4_pivotable(
-    d: DegreeSequence, mode: str = "simple", _trusted: bool = False
+    d: DegreeSequence, mode: str = "simple"
 ) -> Tuple[LabeledMultigraph, Certificate]:
     """Realize a boundary sequence (sum = 4(n-1)-4) with an induced
     central 4-cycle and two spanning trees sharing exactly two of its
@@ -553,8 +549,7 @@ def build_c4_pivotable(
     """
     _check_mode(mode)
     n = d.n
-    if not _trusted:
-        _require(is_graphical(d), "sequence must be graphical")
+    _require(is_graphical(d), "sequence must be graphical")
     _require(d.total == 4 * (n - 1) - 4, "sum must equal 4(n-1)-4")
     _require(d.max_degree < n - 1, "maximum degree must be below n-1")
     _require(n >= 4 and d.min_degree >= 2, "minimum degree must be at least 2")
@@ -588,7 +583,7 @@ def build_c4_pivotable(
         red.remove_entry_of_value(d1)
         red.add_entry(d1 - 2)
         _debug_seq(red, simple=True)
-        g = _two_edst_graph(red, mode, True)
+        g = _two_edst_graph(red, mode)
         hub = g.find_vertex_with_degree(d1 - 2)
         _attach_c4_gadget(g, hub)
     for a, b in reversed(plan):
@@ -648,13 +643,6 @@ def build_c4_pivotable_multi(
 # --------------------------------------------------------------------------
 
 
-def _build_tiny(d: DegreeSequence, mode: str) -> Tuple[LabeledMultigraph, Certificate]:
-    """Direct realizations for n <= 2 (trees are trivial or parallel)."""
-    if mode == "simple":
-        return build_one_shared(d, mode)
-    return build_one_shared_multi(d)
-
-
 def realize_tc(
     d: DegreeSequence, mode: str = "simple"
 ) -> RealizeResult:
@@ -662,22 +650,19 @@ def realize_tc(
     decision = check_tc_realizable(d, mode)
     if not decision.realizable:
         return RealizeResult(decision)
-    n = d.n
-    m = d.total // 2
-    if n <= 2:
-        g, cert = _build_tiny(d, mode)
-    elif m == 2 * n - 4:
+    # No realizable sequence with n <= 2 has m = 2n-4; the one-shared
+    # builders realize those directly.
+    if d.total // 2 == 2 * d.n - 4:
         if mode == "simple":
-            g, cert = build_c4_pivotable(d, _trusted=True)
+            g, cert = build_c4_pivotable(d)
         else:
             g, cert = build_c4_pivotable_multi(d)
     else:
         if mode == "simple":
-            g, cert = build_one_shared(d, _trusted=True)
+            g, cert = build_one_shared(d)
         else:
             g, cert = build_one_shared_multi(d)
     labeling = pivot_label(g, cert)
-    labeling.apply(g)
     if debug_asserts_enabled():
         assert g.validate()
         assert sorted(g.degrees(), reverse=True) == d.entries
@@ -704,74 +689,56 @@ def _nonstrict_decision(d: DegreeSequence, mode: str) -> Decision:
 def _connect_components(g: LabeledMultigraph) -> None:
     """Merge connected components by 2-swaps that preserve all degrees.
 
-    Whenever several components exist and m >= n-1, some component
-    carries a cycle; swapping one of its cycle edges against any edge of
-    another component joins the two without changing any degree.
+    One union-find pass over the edges sorts each into a spanning-forest
+    edge or a spare, which closes a cycle.  Removing a spare leaves its
+    component connected, so trading a spare (a, b) and a forest edge
+    (c, d) of another component for (a, c) and (b, d) joins the two
+    without changing any degree.  The components with spares are merged
+    first, so the merged part holds every spare left when the trees
+    follow; m >= n-1 leaves one spare per merge.
     """
-    while True:
-        n = g.n
-        comp = [-1] * n
-        comp_edges: List[List[int]] = []
-        ncomp = 0
-        for s in range(n):
-            if comp[s] != -1:
-                continue
-            comp_edges.append([])
-            stack = [s]
-            comp[s] = ncomp
-            while stack:
-                u = stack.pop()
-                for e in g.incident(u):
-                    a, b = g.endpoints(e)
-                    v = b if a == u else a
-                    if comp[v] == -1:
-                        comp[v] = ncomp
-                        stack.append(v)
-            ncomp += 1
-        if ncomp <= 1:
-            return
-        for e in g.edge_ids():
-            comp_edges[comp[g.eu[e]]].append(e)
-        # Find a component with a cycle (more edges than a tree needs).
-        sizes = [0] * ncomp
-        for v in range(n):
-            sizes[comp[v]] += 1
-        rich = next(
-            (c for c in range(ncomp) if len(comp_edges[c]) >= sizes[c]), None
-        )
-        if rich is None:
+    eu, ev = g.eu, g.ev
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    link: Dict[int, int] = {}  # root -> a forest edge of its component
+    spares: List[int] = []
+    for e in compress(count(), g.ealive):
+        ru, rv = find(eu[e]), find(ev[e])
+        if ru == rv:
+            spares.append(e)
+        else:
+            parent[ru] = rv
+            link[rv] = e
+    roots = [v for v, p in enumerate(parent) if v == p]
+    if len(roots) <= 1:
+        return
+    by_root: Dict[int, List[int]] = {}
+    for e in spares:
+        by_root.setdefault(find(eu[e]), []).append(e)
+    order = list(by_root) + [r for r in roots if r not in by_root]
+    pool = by_root.get(order[0], [])
+    for r in order[1:]:
+        if not pool:
             raise GraphError("cannot connect: every component is a tree")
-        # A non-tree edge of that component lies on a cycle.
-        dsu_parent = list(range(n))
-
-        def find(x: int) -> int:
-            while dsu_parent[x] != x:
-                dsu_parent[x] = dsu_parent[dsu_parent[x]]
-                x = dsu_parent[x]
-            return x
-
-        cycle_edge = None
-        for e in comp_edges[rich]:
-            ra, rb = find(g.eu[e]), find(g.ev[e])
-            if ra == rb:
-                cycle_edge = e
-                break
-            dsu_parent[ra] = rb
-        assert cycle_edge is not None
-        other = next(
-            (c for c in range(ncomp) if c != rich and comp_edges[c]), None
-        )
-        if other is None:
+        forest_edge = link.get(r)
+        if forest_edge is None:
             # Only possible with isolated vertices, which the minimum
             # degree condition rules out.
             raise GraphError("cannot connect an edgeless component")
-        e2 = comp_edges[other][0]
-        a, b = g.endpoints(cycle_edge)
-        c, dd = g.endpoints(e2)
-        g.remove_edge(cycle_edge)
-        g.remove_edge(e2)
+        spare = pool.pop()
+        a, b = eu[spare], ev[spare]
+        c, d = eu[forest_edge], ev[forest_edge]
+        g.remove_edge(spare)
+        g.remove_edge(forest_edge)
         g.add_edge(a, c)
-        g.add_edge(b, dd)
+        g.add_edge(b, d)
+        pool += by_root.get(r, ())
 
 
 def realize_nonstrict(d: DegreeSequence, mode: str = "simple") -> RealizeResult:
@@ -827,8 +794,8 @@ def realize_nonstrict(d: DegreeSequence, mode: str = "simple") -> RealizeResult:
             g.add_edge(u, v)
     if n >= 2:
         _connect_components(g)
-    labeling = TemporalLabeling({e: 1 for e in g.edge_ids()}, 1 if g.num_edges else 0)
-    labeling.apply(g)
+    g.elabel[:] = [1 if alive else None for alive in g.ealive]
+    labeling = TemporalLabeling(1 if g.num_edges else 0)
     if debug_asserts_enabled():
         assert g.validate()
         assert sorted(g.degrees(), reverse=True) == d.entries

@@ -78,9 +78,8 @@ def properness_violation(g: LabeledMultigraph) -> Optional[str]:
     """The first two edges at a vertex that carry the same label.
 
     The witness is at the smallest vertex with a clash, and is that
-    vertex's first clash in edge-id order (``incident`` order): the first
-    edge whose label an earlier edge there already carries, and that
-    earlier edge.
+    vertex's first clash in edge-id order: the first edge whose label an
+    earlier edge there already carries, and that earlier edge.
     """
     eu, ev, elabel = g.eu, g.ev, g.elabel
     first: Dict[Tuple[int, int], int] = {}  # (label, vertex) -> first edge

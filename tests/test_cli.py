@@ -14,6 +14,8 @@ from tcreal.degseq import DegreeSequence
 from tcreal.graphstore import LabeledMultigraph
 from tcreal.realize import realize_tc
 
+from conftest import live_incidence
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -177,7 +179,7 @@ def test_build_no_verify_still_builds(capsys):
 def test_build_self_verify_failure_names_the_reason(capsys, monkeypatch):
     result = realize_tc(DegreeSequence([2, 2, 2, 2]), "simple")
     g = result.graph
-    e, f = g.incident(0)
+    e, f = live_incidence(g)[0]
     g.elabel[f] = g.elabel[e]
     monkeypatch.setattr("tcreal.cli.realize_tc", lambda d, mode: result)
     code, out, err = run(capsys, "build", "2,2,2,2")

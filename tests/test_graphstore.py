@@ -14,11 +14,12 @@ from tcreal.graphstore import (
     Certificate,
     GraphError,
     LabeledMultigraph,
-    build_fixed,
 )
 from tcreal.degseq import DegreeSequence
 from tcreal.realize import realize_tc
 from tcreal.verify import enumerate_sequences
+
+from conftest import build_fixed, live_incidence
 
 
 def triangle(mode="simple"):
@@ -77,7 +78,7 @@ def test_parallel_edges_by_mode():
 
 def test_remove_edge_then_re_add():
     g = triangle()
-    e = g.incident(0)[0]
+    e = live_incidence(g)[0][0]
     g.remove_edge(e)
     assert sorted(g.degrees()) == [1, 1, 2]
     with pytest.raises(GraphError):
@@ -160,6 +161,39 @@ def test_attach_vertex_missing_degree():
         g.attach_vertex([7])
 
 
+def replace_edge_with_degree3_vertex(g, u, pick):
+    """Reference step for ``replay_degree3_insertions``: add a vertex w
+    joined to u (tree 1) and to both endpoints of edge ``pick`` (tree 2),
+    deleting ``pick``.
+
+    Equivalent to remove_edge + add_vertex + three add_edge calls, but
+    skips bucket updates for the two endpoints of ``pick`` whose degrees
+    are unchanged overall.  Returns (w, first tree-2 edge).
+    """
+    eu, ev = g.eu, g.ev
+    if not g.ealive[pick]:
+        raise GraphError(f"unknown edge id {pick}")
+    a, b = eu[pick], ev[pick]
+    if u == a or u == b:
+        raise GraphError("replacement edge must avoid the tree-1 anchor")
+    g._pairs = None
+    g.ealive[pick] = False
+    g.eflag[pick] = FLAG_NONE
+    vdeg = g.vdeg
+    w = len(vdeg)
+    e1 = len(eu)
+    eu += (u, a, b)
+    ev += (w, w, w)
+    g.eflag += (FLAG_T1, FLAG_T2, FLAG_T2)
+    g.elabel += (None, None, None)
+    g.ealive += (True, True, True)
+    vdeg.append(3)
+    vdeg[u] += 1
+    g._bucket_push(vdeg[u], u)
+    g._bucket_push(3, w)
+    return w, e1 + 1
+
+
 def test_replace_edge_with_degree3_vertex_matches_primitives():
     g = build_fixed("simple", 4,
                     [(0, 1, FLAG_T1), (1, 2, FLAG_T1), (2, 3, FLAG_T1),
@@ -167,7 +201,7 @@ def test_replace_edge_with_degree3_vertex_matches_primitives():
     ref = build_fixed("simple", 4,
                       [(0, 1, FLAG_T1), (1, 2, FLAG_T1), (2, 3, FLAG_T1),
                        (0, 2, FLAG_T2), (0, 3, FLAG_T2), (1, 3, FLAG_T2)])
-    w, e_aw = g.replace_edge_with_degree3_vertex(1, 3)  # edge (0, 2)
+    w, e_aw = replace_edge_with_degree3_vertex(g, 1, 3)  # edge (0, 2)
     ref.remove_edge(3)
     rw = ref.add_vertex()
     ref.add_edge(1, rw, FLAG_T1)
@@ -188,7 +222,7 @@ def test_replace_edge_rejects_incident_anchor():
     g = build_fixed("simple", 3,
                     [(0, 1, FLAG_T2), (1, 2, FLAG_NONE), (2, 0, FLAG_NONE)])
     with pytest.raises(GraphError):
-        g.replace_edge_with_degree3_vertex(0, 0)
+        replace_edge_with_degree3_vertex(g, 0, 0)
 
 
 def test_replay_degree3_insertions_matches_single_steps():
@@ -206,7 +240,7 @@ def test_replay_degree3_insertions_matches_single_steps():
         pick, other = t2_pair
         if u in stepped.endpoints(pick):
             pick, other = other, pick
-        _, new_edge = stepped.replace_edge_with_degree3_vertex(u, pick)
+        _, new_edge = replace_edge_with_degree3_vertex(stepped, u, pick)
         t2_pair = (other, new_edge)
     assert pair == t2_pair
     assert batched.degrees() == stepped.degrees()
@@ -229,19 +263,7 @@ def test_replay_failure_keeps_the_steps_done():
     assert sorted(g.degrees()) == [3, 3, 3, 3, 4, 4]
 
 
-def _live_incidence(g):
-    out = {v: [] for v in range(g.n)}
-    for e in g.edge_ids():
-        u, v = g.endpoints(e)
-        out[u].append(e)
-        out[v].append(e)
-    return out
-
-
-def _assert_indexes_complete(g):
-    live = _live_incidence(g)
-    for v in range(g.n):
-        assert g.incident(v) == live[v]
+def _assert_pair_index_complete(g):
     for e in list(g.edge_ids()):
         u, v = g.endpoints(e)
         for a, b in ((u, v), (v, u)):
@@ -250,12 +272,12 @@ def _assert_indexes_complete(g):
 
 
 def test_indexes_built_on_first_use_after_realize():
-    # The construction fills neither the pair index nor the adjacency;
-    # both are built when first used and must then be complete.
+    # The construction does not fill the pair index; it is built when
+    # first used and must then be complete.
     for seq in ([4] * 30 + [2, 2], [4] * 26 + [2] * 4, [5, 4, 4, 4, 3, 2],
                 [6, 5, 4, 4, 3, 3, 3, 2]):
         g = realize_tc(DegreeSequence(seq), "simple").graph
-        _assert_indexes_complete(g)
+        _assert_pair_index_complete(g)
         e = next(g.edge_ids())
         u, v = g.endpoints(e)
         g.remove_edge(e)
@@ -265,12 +287,13 @@ def test_indexes_built_on_first_use_after_realize():
 
 def test_indexes_built_before_trusted_insertions_are_rebuilt():
     g = _k4_two_trees()
-    g.incident(0)  # both indexes now exist
+    g.remove_edge(0)
+    g.add_edge(0, 1, FLAG_T1)  # the pair index now exists
     g.replay_degree3_insertions([4, 4, 4], (3, 5))
     g.attach_vertex([3, 3])
-    g.replace_edge_with_degree3_vertex(g.n - 1, next(
+    replace_edge_with_degree3_vertex(g, g.n - 1, next(
         e for e in g.edge_ids() if g.n - 1 not in g.endpoints(e)))
-    _assert_indexes_complete(g)
+    _assert_pair_index_complete(g)
     assert g.validate()
 
 

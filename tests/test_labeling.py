@@ -10,43 +10,42 @@ from tcreal.graphstore import (
     FLAG_T2,
     Certificate,
     GraphError,
-    build_fixed,
+    LabeledMultigraph,
 )
 from tcreal.labeling import pivot_label
 from tcreal.realize import realize_tc
 from tcreal.verify import is_proper, is_simple, is_tc
 
+from conftest import build_fixed
+
 
 def test_empty_graph():
     g = build_fixed("simple", 0, [])
     lab = pivot_label(g, Certificate(set(), set(), set()))
-    assert lab.assignment == {} and lab.max_label == 0
+    assert g.elabel == [] and lab.max_label == 0
 
 
 def test_single_shared_edge_k2():
     g = build_fixed("simple", 2, [(0, 1, FLAG_BOTH)])
     lab = pivot_label(g, g.certificate_from_flags())
-    assert lab.assignment == {0: 1}
-    lab.apply(g)
+    assert g.elabel == [1] and lab.max_label == 1
     assert is_tc(g)
 
 
 def test_k4_edge_disjoint_trees():
     g = bases.instantiate(bases.K4_EDST, "simple")
     lab = pivot_label(g, g.certificate_from_flags())
-    lab.apply(g)
     assert is_simple(g) and is_proper(g) and is_tc(g)
     assert lab.max_label <= 2 * g.n + 2
 
 
 def test_central_cycle_gets_two_consecutive_labels():
     g = bases.instantiate(bases.C4_BASE, "simple")
-    lab = pivot_label(g, g.certificate_from_flags())
-    ring_labels = sorted({lab.assignment[e] for e in range(4)})
+    pivot_label(g, g.certificate_from_flags())
+    ring_labels = sorted({g.elabel[e] for e in range(4)})
     # Four ring edges share exactly two labels, one per opposite pair.
     assert len(ring_labels) == 2
     assert ring_labels[1] == ring_labels[0] + 1
-    lab.apply(g)
     assert is_proper(g) and is_tc(g)
 
 
@@ -67,27 +66,25 @@ def test_collection_phase_increases_toward_core():
         ],
     )
     cert = g.certificate_from_flags()
-    lab = pivot_label(g, cert)
-    assert lab.assignment[0] < lab.assignment[1] < lab.assignment[2]
+    pivot_label(g, cert)
+    lab = g.elabel
+    assert lab[0] < lab[1] < lab[2]
     # The shared core fires after the whole collection phase.
     up_edges = [0, 1, 3]
-    assert lab.assignment[2] == max(lab.assignment[e] for e in up_edges) + 1
+    assert lab[2] == max(lab[e] for e in up_edges) + 1
     # Distribution-phase edges all fire after the core.
     for e in (4, 5, 6):
-        assert lab.assignment[e] > lab.assignment[2]
-    lab.apply(g)
+        assert lab[e] > lab[2]
     assert is_proper(g) and is_tc(g)
 
 
 def test_extra_edges_get_fresh_top_labels():
     res = realize_tc(DegreeSequence([5, 4, 4, 4, 3, 2]), "simple")
-    g, lab = res.graph, res.labeling
-    flagged_max = max(
-        lab.assignment[e] for e in g.edge_ids() if g.eflag[e] != 0
-    )
+    g = res.graph
+    flagged_max = max(g.elabel[e] for e in g.edge_ids() if g.eflag[e] != 0)
     for e in g.edge_ids():
         if g.eflag[e] == 0:
-            assert lab.assignment[e] > flagged_max
+            assert g.elabel[e] > flagged_max
 
 
 def test_rejects_non_spanning_tree_edges():
@@ -148,3 +145,37 @@ def test_label_plain_tree_nonstrict():
     g.elabel[:] = [1, 1, 1, 2]
     assert is_tc(g, strict=False)
     assert not is_tc(g, strict=True)  # equal labels break strict journeys
+
+
+
+def test_stale_labels_do_not_leak():
+    # pivot_label writes into g.elabel; labels already there, scrambled
+    # or loaded from a document, must neither survive nor change the
+    # result.  The cases cover edges outside both trees (the sweep), dead
+    # edge slots, and the central cycle.
+    cases = [((5, 4, 4, 4, 3, 2), "simple"), ((6,) * 8, "simple"),
+             ((4,) * 10 + (2, 2), "simple"), ((2, 2, 2, 2), "simple"),
+             ((4, 2, 2, 2, 2), "multi"), ((6, 5, 4, 4, 3, 3, 3, 2), "multi")]
+    for tup, mode in cases:
+        fresh = realize_tc(DegreeSequence(tup), mode)
+        g, top = fresh.graph, fresh.labeling.max_label
+        expected = list(g.elabel)
+
+        # A realization with every slot, dead ones too, scrambled.
+        g.elabel[:] = [1 + (7 * e) % 3 for e in range(len(g.elabel))]
+        assert pivot_label(g, g.certificate_from_flags()).max_label == top
+        assert g.elabel == expected, (tup, mode)
+
+        # A reloaded document: its labels, scrambled, give way to the
+        # ones a reload without labels gets.
+        doc = g.to_json_dict()
+        for rec in doc["edges"]:
+            rec["label"] = None
+        bare = LabeledMultigraph.from_json_dict(doc)
+        for i, rec in enumerate(doc["edges"]):
+            rec["label"] = 1 + (7 * i) % 3
+        loaded = LabeledMultigraph.from_json_dict(doc)
+        for h in (bare, loaded):
+            assert pivot_label(h, h.certificate_from_flags()).max_label == top
+        assert loaded.elabel == bare.elabel, (tup, mode)
+        assert sorted(bare.elabel) == sorted(filter(None, expected))

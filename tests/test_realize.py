@@ -6,8 +6,10 @@ import time
 import pytest
 
 from tcreal.degseq import DegreeSequence, set_debug_asserts
+from tcreal.graphstore import GraphError
 from tcreal.realize import (
     Reason,
+    _connect_components,
     build_c4_pivotable,
     build_c4_pivotable_multi,
     build_one_shared,
@@ -24,6 +26,8 @@ from tcreal.verify import (
     is_tc,
     validate_certificate,
 )
+
+from conftest import build_fixed, live_incidence
 
 
 def seq(*values):
@@ -245,7 +249,7 @@ def test_construction_is_deterministic():
         a = realize_tc(DegreeSequence(tup), mode)
         b = realize_tc(DegreeSequence(tup), mode)
         assert a.graph.to_json_dict() == b.graph.to_json_dict()
-        assert a.labeling.assignment == b.labeling.assignment
+        assert a.labeling.max_label == b.labeling.max_label
 
 
 def test_realize_not_realizable_has_no_graph():
@@ -311,3 +315,58 @@ def test_nonstrict_multi_peel_scales_linearly():
             assert res.realizable
     assert times[40_000] / times[20_000] <= 2.6, times
     assert times[80_000] / times[40_000] <= 2.6, times
+
+
+def _connected(g):
+    incidence = live_incidence(g)
+    seen, stack = {0}, [0]
+    while stack:
+        for e in incidence[stack.pop()]:
+            for x in g.endpoints(e):
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+    return len(seen) == g.n
+
+
+TRIANGLE = [(0, 1), (1, 2), (2, 0)]
+K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def _shifted(edges, k):
+    return [(u + k, v + k) for u, v in edges]
+
+
+@pytest.mark.parametrize("n, edges", [
+    # Two triangles.
+    (6, TRIANGLE + _shifted(TRIANGLE, 3)),
+    # Two triangles and a lone edge, a tree that needs a triangle's spare.
+    (8, TRIANGLE + _shifted(TRIANGLE, 3) + [(6, 7)]),
+    # Two lone edges ahead of K4: the trees come first in vertex order.
+    (8, [(0, 1), (2, 3)] + _shifted(K4, 4)),
+])
+@pytest.mark.parametrize("mode", ["simple", "multi"])
+def test_connect_components_merges_by_degree_preserving_swaps(n, edges, mode):
+    g = build_fixed(mode, n, [(u, v, 0) for u, v in edges])
+    degrees = g.degrees()
+    assert not _connected(g)
+    _connect_components(g)
+    assert _connected(g)
+    assert g.degrees() == degrees
+    assert g.num_edges == len(edges)
+    assert g.validate()
+    pairs = [frozenset(g.endpoints(e)) for e in g.edge_ids()]
+    if mode == "simple":
+        assert len(set(pairs)) == len(pairs)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (4, [(0, 1), (2, 3)]),
+    (5, [(0, 1), (1, 2), (3, 4)]),
+    # One spare is not enough for two merges.
+    (7, TRIANGLE + [(3, 4), (5, 6)]),
+])
+def test_connect_components_rejects_too_few_spares(n, edges):
+    g = build_fixed("simple", n, [(u, v, 0) for u, v in edges])
+    with pytest.raises(GraphError):
+        _connect_components(g)

@@ -13,7 +13,6 @@ from tcreal.graphstore import (
     FLAG_T2,
     Certificate,
     GraphError,
-    build_fixed,
 )
 from tcreal.realize import realize_tc
 from tcreal.verify import (
@@ -30,6 +29,8 @@ from tcreal.verify import (
     tc_violation,
     validate_certificate,
 )
+
+from conftest import build_fixed, live_incidence
 
 INF = float("inf")
 
@@ -89,10 +90,11 @@ def test_unlabeled_edge_is_named():
 
 def per_vertex_properness_violation(g):
     """Reference for ``properness_violation``'s witness: scan vertices in
-    increasing order, each vertex's edges in ``incident`` order."""
+    increasing order, each vertex's edges in edge-id order."""
+    incidence = live_incidence(g)
     for v in range(g.n):
         seen = {}
-        for e in g.incident(v):
+        for e in incidence[v]:
             t = g.elabel[e]
             if t in seen:
                 return f"edges {seen[t]} and {e} at vertex {v} share label {t}"
@@ -222,7 +224,7 @@ def test_tc_violation_matches_arrival_sweeps_on_multiword_bitsets():
         if kind == "one label":
             g.elabel[rng.choice(list(g.edge_ids()))] = rng.randint(1, top + 1)
         else:
-            for e in g.incident(rng.randrange(n)):
+            for e in live_incidence(g)[rng.randrange(n)]:
                 g.elabel[e] = rng.randint(1, top + 1)
         for strict in (True, False):
             expected = first_unreached_pair(g, strict)
