@@ -40,7 +40,8 @@ def main() -> None:
 
     # The edge-disjoint builder can be called directly when the surplus
     # condition holds; it guarantees zero shared edges.
-    g, cert = build_two_edst(DegreeSequence([4, 4, 3, 3, 3, 3]))
+    g = build_two_edst(DegreeSequence([4, 4, 3, 3, 3, 3]), "simple")
+    cert = g.certificate_from_flags()
     assert len(cert.shared) == 0
     print("direct edge-disjoint build on (4,4,3,3,3,3): "
           f"{g.num_edges} edges, shared={len(cert.shared)}")

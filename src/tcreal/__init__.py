@@ -32,11 +32,8 @@ from .realize import (
     RealizeResult,
     Reason,
     build_c4_pivotable,
-    build_c4_pivotable_multi,
     build_one_shared,
-    build_one_shared_multi,
     build_two_edst,
-    build_two_edst_multi,
     check_tc_realizable,
     realize_nonstrict,
     realize_tc,
@@ -85,11 +82,8 @@ __all__ = [
     "RealizeResult",
     "Reason",
     "build_c4_pivotable",
-    "build_c4_pivotable_multi",
     "build_one_shared",
-    "build_one_shared_multi",
     "build_two_edst",
-    "build_two_edst_multi",
     "check_tc_realizable",
     "realize_nonstrict",
     "realize_tc",

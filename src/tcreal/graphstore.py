@@ -96,6 +96,8 @@ class LabeledMultigraph:
         # until then or once dropped.
         self._pairs: Optional[Set[int]] = None
         self.central_cycle: Optional[Tuple[int, int, int, int]] = None
+        # Set by the all-3 boundary construction; see Certificate.
+        self.matching_pairs: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
 
     # -- basic accessors ------------------------------------------------------
 
@@ -382,6 +384,7 @@ class LabeledMultigraph:
             tree2=t2,
             shared=t1 & t2,
             central_cycle=self.central_cycle,
+            matching_pairs=self.matching_pairs,
         )
 
     # -- serialization ---------------------------------------------------------

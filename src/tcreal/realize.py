@@ -49,17 +49,11 @@ __all__ = [
     "RealizeResult",
     "check_tc_realizable",
     "build_two_edst",
-    "build_two_edst_multi",
     "build_one_shared",
-    "build_one_shared_multi",
     "build_c4_pivotable",
-    "build_c4_pivotable_multi",
     "realize_tc",
     "realize_nonstrict",
 ]
-
-MODES = ("simple", "multi")
-
 
 class Reason(Enum):
     """Why a sequence is (or is not) realizable."""
@@ -102,9 +96,22 @@ class RealizeResult:
         return self.decision.realizable
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+_NOT_A_SEQUENCE = {
+    "simple": Reason.NOT_GRAPHICAL,
+    "multi": Reason.NOT_MULTIGRAPHICAL,
+}
+_SEQUENCE_RULE = (
+    "sequence must be graphical (simple mode) or multigraphical (multi mode)"
+)
+
+
+def _is_sequence(d: DegreeSequence, mode: str) -> bool:
+    """``is_graphical`` in simple mode, ``is_multigraphical`` in multi mode."""
+    if mode == "simple":
+        return is_graphical(d)
+    if mode == "multi":
+        return is_multigraphical(d)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _require(cond: bool, what: str) -> None:
@@ -114,13 +121,8 @@ def _require(cond: bool, what: str) -> None:
 
 def check_tc_realizable(d: DegreeSequence, mode: str = "simple") -> Decision:
     """Decide realizability in O(n) without building anything."""
-    _check_mode(mode)
-    if mode == "simple":
-        if not is_graphical(d):
-            return Decision(False, mode, Reason.NOT_GRAPHICAL)
-    else:
-        if not is_multigraphical(d):
-            return Decision(False, mode, Reason.NOT_MULTIGRAPHICAL)
+    if not _is_sequence(d, mode):
+        return Decision(False, mode, _NOT_A_SEQUENCE[mode])
     n = d.n
     m = d.total // 2
     if m < 2 * n - 4:
@@ -180,10 +182,10 @@ def _attach_flagged(
     return w
 
 
-def _debug_seq(cur: DegreeSequence, simple: bool) -> None:
+def _debug_seq(cur: DegreeSequence, mode: str) -> None:
     if debug_asserts_enabled():
         cur._check_consistency()
-        assert is_graphical(cur) if simple else is_multigraphical(cur), cur
+        assert _is_sequence(cur, mode), cur
 
 
 # --------------------------------------------------------------------------
@@ -191,28 +193,72 @@ def _debug_seq(cur: DegreeSequence, simple: bool) -> None:
 # --------------------------------------------------------------------------
 
 
-def build_two_edst(
-    d: DegreeSequence, mode: str = "simple"
-) -> Tuple[LabeledMultigraph, Certificate]:
-    """Realize a graphical sequence with two edge-disjoint spanning trees.
+def build_two_edst(d: DegreeSequence, mode: str = "simple") -> LabeledMultigraph:
+    """Realize a sequence with two edge-disjoint spanning trees.
 
-    Requires: graphical, sum >= 4(n-1), min degree >= 2 (forcing n >= 4).
+    Returns the graph with its tree flags set.  Requires, in both modes,
+    sum >= 4(n-1) and minimum degree >= 2.  Simple mode: graphical
+    (which forces n >= 4).  Multi mode: multigraphical and n >= 2.
     """
-    _check_mode(mode)
-    g = _two_edst_graph(d, mode)
-    return g, g.certificate_from_flags()
-
-
-# The private builders below return the flagged graph only; each public
-# builder derives the certificate once, from the finished graph.
-
-
-def _two_edst_graph(d: DegreeSequence, mode: str) -> LabeledMultigraph:
     n = d.n
-    _require(is_graphical(d), "sequence must be graphical")
+    _require(_is_sequence(d, mode), _SEQUENCE_RULE)
     _require(d.total >= 4 * (n - 1), "sum must be at least 4(n-1)")
-    _require(n >= 4 and d.min_degree >= 2, "minimum degree must be at least 2")
+    _require(n >= 2 and d.min_degree >= 2, "need n >= 2 and min degree >= 2")
     cur = d.copy()
+    # Multi mode first peels surplus edges and double lay-offs of a 2,
+    # down to (2, 2) or to a tight sum with minimum 3, which is graphical
+    # and takes the graphical descent below.
+    multi_plan: List[tuple] = []
+    while mode == "multi" and (cur.n > 2 or cur.total > 4 * (cur.n - 1)):
+        if cur.total > 4 * (cur.n - 1):
+            # Surplus edge between the two largest entries.
+            d1 = cur.max_degree
+            d2 = cur.degree_at(2)
+            multi_plan.append(("edge", d1 - 1, d2 - 1))
+            cur.decrement_one_of_value(d1)
+            cur.decrement_one_of_value(d2)
+        elif cur.min_degree == 2:
+            # Double lay-off of the minimum; the replay may legitimately
+            # hit the same target twice, creating a parallel edge.
+            d1 = cur.max_degree
+            d2 = cur.degree_at(2)
+            multi_plan.append(("attach2", max(d1 - 1, d2) - 1, d1 - 1))
+            cur.remove_min_entry()
+            cur.decrement_one_of_value(d1)
+            cur.decrement_one_of_value(cur.max_degree)
+        else:
+            break
+        _debug_seq(cur, "multi")
+        if debug_asserts_enabled():
+            assert cur.total >= 4 * (cur.n - 1) and cur.min_degree >= 2, cur
+    if cur.n == 2:
+        if debug_asserts_enabled():
+            assert cur.entries == [2, 2], cur
+        g = bases.instantiate(bases.MULTI_22, mode)
+    else:
+        _debug_seq(cur, "simple")
+        g = _two_edst_descent(cur, mode)
+    for step in reversed(multi_plan):
+        if step[0] == "attach2":
+            _attach_flagged(
+                g, [step[1], step[2]],
+                first_flag=FLAG_T2, second_flag=FLAG_T1, allow_repeat=True,
+            )
+        else:
+            _, a, b = step
+            u = g._bucket_pop_valid(a)
+            v = g._bucket_pop_valid(b, exclude={u})
+            g.add_edge(u, v, FLAG_NONE)
+    return g
+
+
+def _two_edst_descent(cur: DegreeSequence, mode: str) -> LabeledMultigraph:
+    """The graphical part of :func:`build_two_edst`, consuming ``cur``.
+
+    ``cur`` is graphical with sum >= 4(n-1) and minimum degree >= 2; the
+    store takes ``mode``, so the multi descent's graphical remainder is
+    built here too.
+    """
     # The plan holds (old maximum, count) runs of degree-3 insertions and
     # ("attach", targets) tuples for lay-off replays.
     plan: List[tuple] = []
@@ -239,7 +285,7 @@ def _two_edst_graph(d: DegreeSequence, mode: str) -> LabeledMultigraph:
             nn = cur.n
         if dbg:
             assert total == cur.total and nn == cur.n
-            _debug_seq(cur, simple=True)
+            _debug_seq(cur, "simple")
             assert cur.total >= 4 * (cur.n - 1) and cur.min_degree >= 2, cur
     assert cur.max_degree == 3, "n=4 base must be the all-3 sequence"
     g = bases.instantiate(bases.K4_EDST, mode)
@@ -260,70 +306,6 @@ def _two_edst_graph(d: DegreeSequence, mode: str) -> LabeledMultigraph:
         _attach_flagged(g, targets)
     if run:
         t2_pair = g.replay_degree3_insertions(run, t2_pair)
-    return g
-
-
-def build_two_edst_multi(
-    d: DegreeSequence,
-) -> Tuple[LabeledMultigraph, Certificate]:
-    """Realize a multigraphical sequence with two edge-disjoint
-    spanning trees.
-
-    Requires: multigraphical, sum >= 4(n-1), min degree >= 2, n >= 2.
-    """
-    g = _two_edst_multi_graph(d)
-    return g, g.certificate_from_flags()
-
-
-def _two_edst_multi_graph(d: DegreeSequence) -> LabeledMultigraph:
-    n = d.n
-    _require(is_multigraphical(d), "sequence must be multigraphical")
-    _require(d.total >= 4 * (n - 1), "sum must be at least 4(n-1)")
-    _require(n >= 2 and d.min_degree >= 2, "need n >= 2 and min degree >= 2")
-    cur = d.copy()
-    plan: List[tuple] = []
-    graphical_tail: Optional[DegreeSequence] = None
-    while cur.n > 2 or cur.total > 4 * (cur.n - 1):
-        if cur.total > 4 * (cur.n - 1):
-            # Surplus edge between the two largest entries.
-            d1 = cur.max_degree
-            d2 = cur.degree_at(2)
-            plan.append(("edge", d1 - 1, d2 - 1))
-            cur.decrement_one_of_value(d1)
-            cur.decrement_one_of_value(d2)
-        elif cur.min_degree == 2:
-            # Double lay-off of the minimum; the replay may legitimately
-            # hit the same target twice, creating a parallel edge.
-            d1 = cur.max_degree
-            d2 = cur.degree_at(2)
-            plan.append(("attach2", max(d1 - 1, d2) - 1, d1 - 1))
-            cur.remove_min_entry()
-            cur.decrement_one_of_value(d1)
-            cur.decrement_one_of_value(cur.max_degree)
-        else:
-            # Tight sum with min degree 3: the remainder is graphical.
-            graphical_tail = cur
-            break
-        _debug_seq(cur, simple=False)
-        if debug_asserts_enabled():
-            assert cur.total >= 4 * (cur.n - 1) and cur.min_degree >= 2, cur
-    if graphical_tail is not None:
-        g = _two_edst_graph(graphical_tail, "multi")
-    else:
-        if debug_asserts_enabled():
-            assert cur.entries == [2, 2], cur
-        g = bases.instantiate(bases.MULTI_22, "multi")
-    for step in reversed(plan):
-        if step[0] == "attach2":
-            _attach_flagged(
-                g, [step[1], step[2]],
-                first_flag=FLAG_T2, second_flag=FLAG_T1, allow_repeat=True,
-            )
-        else:
-            _, a, b = step
-            u = g._bucket_pop_valid(a)
-            v = g._bucket_pop_valid(b, exclude={u})
-            g.add_edge(u, v, FLAG_NONE)
     return g
 
 
@@ -370,30 +352,22 @@ def _one_shared_deg3(cur: DegreeSequence, mode: str) -> LabeledMultigraph:
             assert red.min_degree == 3, red
         red.remove_min_entry()
     red.add_entry(1)
-    _debug_seq(red, simple=True)
-    g = _one_shared_graph(red, mode)
+    _debug_seq(red, "simple")
+    g = build_one_shared(red, mode)
     hub = g.find_vertex_with_degree(1)
     _attach_wheel(g, hub, k=d1 - 1)
     return g
 
 
-def build_one_shared(
-    d: DegreeSequence, mode: str = "simple"
-) -> Tuple[LabeledMultigraph, Certificate]:
-    """Realize a graphical sequence with two spanning trees sharing at
-    most one edge.
+def build_one_shared(d: DegreeSequence, mode: str = "simple") -> LabeledMultigraph:
+    """Realize a sequence with two spanning trees sharing at most one edge.
 
-    Requires: graphical, sum >= 4(n-1)-2, and for n > 2 both
-    d_{n-1} >= 2 and d_n >= 1.
+    Returns the graph with its tree flags set.  Requires, in both modes,
+    sum >= 4(n-1)-2 and, for n > 2, both d_{n-1} >= 2 and d_n >= 1.
+    Simple mode: graphical.  Multi mode: multigraphical.
     """
-    _check_mode(mode)
-    g = _one_shared_graph(d, mode)
-    return g, g.certificate_from_flags()
-
-
-def _one_shared_graph(d: DegreeSequence, mode: str) -> LabeledMultigraph:
     n = d.n
-    _require(is_graphical(d), "sequence must be graphical")
+    _require(_is_sequence(d, mode), _SEQUENCE_RULE)
     _require(d.total >= 4 * (n - 1) - 2, "sum must be at least 4(n-1)-2")
     _require(
         n <= 2 or (d.degree_at_from_end(2) >= 2 and d.min_degree >= 1),
@@ -403,8 +377,14 @@ def _one_shared_graph(d: DegreeSequence, mode: str) -> LabeledMultigraph:
         g = LabeledMultigraph(mode)
         for _ in range(n):
             g.add_vertex()
-        if n == 2:  # graphical + sum >= 2 forces (1, 1)
-            g.add_edge(0, 1, FLAG_BOTH)
+        if n == 2:  # (k, k), and k = 1 in simple mode; k parallel edges
+            k = d.max_degree
+            eids = [g.add_edge(0, 1) for _ in range(k)]
+            if k == 1:
+                g.eflag[eids[0]] = FLAG_BOTH
+            else:
+                g.eflag[eids[0]] = FLAG_T1
+                g.eflag[eids[1]] = FLAG_T2
         return g
     if d.min_degree == 1:
         # Pendant route: the rest has two edge-disjoint trees; the
@@ -413,21 +393,38 @@ def _one_shared_graph(d: DegreeSequence, mode: str) -> LabeledMultigraph:
         cur = d.copy()
         cur.remove_min_entry()
         cur.decrement_one_of_value(d1)
-        _debug_seq(cur, simple=True)
-        g = _two_edst_graph(cur, mode)
+        _debug_seq(cur, mode)
+        g = build_two_edst(cur, mode)
         u = g.find_vertex_with_degree(d1 - 1)
         w = g.add_vertex()
         g.add_edge(u, w, FLAG_BOTH)
         return g
     if d.total >= 4 * (n - 1):
-        return _two_edst_graph(d, mode)
+        return build_two_edst(d, mode)
     # sum == 4(n-1)-2 with min degree in {2, 3}.
+    if mode == "multi" and d.min_degree == 2:
+        # Drop the single 2, realize with edge-disjoint trees, then split
+        # a tree-1 edge at the re-inserted degree-2 vertex; one half
+        # joins both trees.
+        cur = d.copy()
+        cur.remove_min_entry()
+        _debug_seq(cur, "multi")
+        g = build_two_edst(cur, "multi")
+        split = next(e for e in g.edge_ids() if g.eflag[e] == FLAG_T1)
+        u, v = g.endpoints(split)
+        g.remove_edge(split)
+        w = g.add_vertex()
+        g.add_edge(u, w, FLAG_BOTH)
+        g.add_edge(w, v, FLAG_T1)
+        return g
+    # Lay off the 2s (simple mode only; the multi boundary left here has
+    # minimum 3 and is graphical), then build a degree-3 base.
     cur = d.copy()
     plan: List[Tuple[int, int]] = []
     while cur.min_degree == 2 and cur.n > 3:
         plan.append((cur.max_degree - 1, cur.degree_at(2) - 1))
         lay_off_graphical(cur, cur.n)
-        _debug_seq(cur, simple=True)
+        _debug_seq(cur, "simple")
     if cur.n == 3:
         g = bases.instantiate(bases.TRIANGLE_ONE_SHARED, mode)
     else:
@@ -435,63 +432,6 @@ def _one_shared_graph(d: DegreeSequence, mode: str) -> LabeledMultigraph:
     for a, b in reversed(plan):
         _attach_flagged(g, [a, b])
     return g
-
-
-def build_one_shared_multi(
-    d: DegreeSequence,
-) -> Tuple[LabeledMultigraph, Certificate]:
-    """Multigraph version of :func:`build_one_shared`."""
-    n = d.n
-    _require(is_multigraphical(d), "sequence must be multigraphical")
-    _require(d.total >= 4 * (n - 1) - 2, "sum must be at least 4(n-1)-2")
-    _require(
-        n <= 2 or (d.degree_at_from_end(2) >= 2 and d.min_degree >= 1),
-        "at most one vertex may have degree below 2",
-    )
-    if n <= 2:
-        g = LabeledMultigraph("multi")
-        for _ in range(n):
-            g.add_vertex()
-        if n == 2:  # multigraphical forces (k, k); k parallel edges
-            k = d.max_degree
-            eids = [g.add_edge(0, 1) for _ in range(k)]
-            if k == 1:
-                g.eflag[eids[0]] = FLAG_BOTH
-            else:
-                g.eflag[eids[0]] = FLAG_T1
-                g.eflag[eids[1]] = FLAG_T2
-        return g, g.certificate_from_flags()
-    if d.min_degree == 1:
-        d1 = d.max_degree
-        cur = d.copy()
-        cur.remove_min_entry()
-        cur.decrement_one_of_value(d1)
-        _debug_seq(cur, simple=False)
-        g = _two_edst_multi_graph(cur)
-        u = g.find_vertex_with_degree(d1 - 1)
-        w = g.add_vertex()
-        g.add_edge(u, w, FLAG_BOTH)
-        return g, g.certificate_from_flags()
-    if d.total >= 4 * (n - 1):
-        return build_two_edst_multi(d)
-    # sum == 4(n-1)-2 with min degree in {2, 3}.
-    if d.min_degree == 3:
-        # The tight deg-3 boundary is graphical; reuse the simple route.
-        return build_one_shared(d, mode="multi")
-    # Drop the single 2, realize with edge-disjoint trees, then split a
-    # tree-1 edge at the re-inserted degree-2 vertex; one half joins
-    # both trees.
-    cur = d.copy()
-    cur.remove_min_entry()
-    _debug_seq(cur, simple=False)
-    g = _two_edst_multi_graph(cur)
-    split = next(e for e in g.edge_ids() if g.eflag[e] == FLAG_T1)
-    u, v = g.endpoints(split)
-    g.remove_edge(split)
-    w = g.add_vertex()
-    g.add_edge(u, w, FLAG_BOTH)
-    g.add_edge(w, v, FLAG_T1)
-    return g, g.certificate_from_flags()
 
 
 # --------------------------------------------------------------------------
@@ -538,30 +478,58 @@ def _c4_merge_step(g: LabeledMultigraph, pairs: List[List[int]]) -> None:
     pairs[1] = [ep if p not in f2_ends else eq, f2]
 
 
-def build_c4_pivotable(
-    d: DegreeSequence, mode: str = "simple"
-) -> Tuple[LabeledMultigraph, Certificate]:
+def build_c4_pivotable(d: DegreeSequence, mode: str = "simple") -> LabeledMultigraph:
     """Realize a boundary sequence (sum = 4(n-1)-4) with an induced
     central 4-cycle and two spanning trees sharing exactly two of its
     edges.
 
-    Requires: graphical, sum = 4(n-1)-4, d_1 < n-1, d_n >= 2.
+    Returns the graph with its tree flags and ``central_cycle`` set, and
+    ``matching_pairs`` on the all-3 route.  Requires, in both modes,
+    sum = 4(n-1)-4 and d_n >= 2.  Simple mode: graphical and
+    d_1 < n-1.  Multi mode: multigraphical.
     """
-    _check_mode(mode)
     n = d.n
-    _require(is_graphical(d), "sequence must be graphical")
+    _require(_is_sequence(d, mode), _SEQUENCE_RULE)
     _require(d.total == 4 * (n - 1) - 4, "sum must equal 4(n-1)-4")
-    _require(d.max_degree < n - 1, "maximum degree must be below n-1")
+    _require(
+        mode == "multi" or d.max_degree < n - 1,
+        "maximum degree must be below n-1",
+    )
     _require(n >= 4 and d.min_degree >= 2, "minimum degree must be at least 2")
+    if mode == "multi" and d.degree_at_from_end(3) == 2 and d.max_degree >= 4:
+        # The three smallest entries are 2 and the maximum is >= 4: peel
+        # them, build edge-disjoint trees, attach a fresh central cycle
+        # through the maximum-degree vertex.  Every other multi boundary
+        # sequence is graphical with maximum below n-1 and takes the
+        # graphical route below.
+        d1 = d.max_degree
+        red = d.copy()
+        for _ in range(3):
+            if debug_asserts_enabled():
+                assert red.min_degree == 2, red
+            red.remove_min_entry()
+        red.remove_entry_of_value(d1)
+        red.add_entry(d1 - 2)
+        _debug_seq(red, "multi")
+        g = build_two_edst(red, "multi")
+        hub = g.find_vertex_with_degree(d1 - 2)
+        x = g.add_vertex()
+        y = g.add_vertex()
+        z = g.add_vertex()
+        g.add_edge(hub, x, FLAG_T1)
+        g.add_edge(x, y, FLAG_BOTH)
+        g.add_edge(y, z, FLAG_BOTH)
+        g.add_edge(hub, z, FLAG_T2)
+        g.central_cycle = (hub, x, y, z)
+        return g
     cur = d.copy()
     plan: List[Tuple[int, int]] = []
     while cur.min_degree == 2 and cur.n > 4:
         plan.append((cur.max_degree - 1, cur.degree_at(2) - 1))
         lay_off_graphical(cur, cur.n)
-        _debug_seq(cur, simple=True)
+        _debug_seq(cur, "simple")
         if debug_asserts_enabled():
             assert cur.max_degree < cur.n - 1, cur
-    pairs: Optional[List[List[int]]] = None
     if cur.n == 4:
         g = bases.instantiate(bases.C4_BASE, mode)
     elif cur.max_degree <= 4:
@@ -571,6 +539,7 @@ def build_c4_pivotable(
         pairs = [list(p0), list(p1)]
         for _ in range(cur.n - 8):
             _c4_merge_step(g, pairs)
+        g.matching_pairs = (tuple(pairs[0]), tuple(pairs[1]))
     else:
         # Large maximum: peel six 3s and two units of the maximum, build
         # edge-disjoint trees, then attach the hub gadget.
@@ -582,60 +551,13 @@ def build_c4_pivotable(
             red.remove_min_entry()
         red.remove_entry_of_value(d1)
         red.add_entry(d1 - 2)
-        _debug_seq(red, simple=True)
-        g = _two_edst_graph(red, mode)
+        _debug_seq(red, "simple")
+        g = build_two_edst(red, mode)
         hub = g.find_vertex_with_degree(d1 - 2)
         _attach_c4_gadget(g, hub)
     for a, b in reversed(plan):
         _attach_flagged(g, [a, b])
-    cert = g.certificate_from_flags()
-    if pairs is not None:
-        cert.matching_pairs = (tuple(pairs[0]), tuple(pairs[1]))
-    return g, cert
-
-
-def build_c4_pivotable_multi(
-    d: DegreeSequence,
-) -> Tuple[LabeledMultigraph, Certificate]:
-    """Multigraph version of :func:`build_c4_pivotable`.
-
-    Requires: multigraphical, sum = 4(n-1)-4, d_n >= 2.
-    """
-    n = d.n
-    _require(is_multigraphical(d), "sequence must be multigraphical")
-    _require(d.total == 4 * (n - 1) - 4, "sum must equal 4(n-1)-4")
-    _require(n >= 4 and d.min_degree >= 2, "minimum degree must be at least 2")
-    entries = d.entries
-    if (
-        d.degree_at_from_end(3) >= 3
-        or entries == [2, 2, 2, 2]
-        or entries == [3, 3, 2, 2, 2]
-    ):
-        # These cases are graphical with maximum below n-1.
-        return build_c4_pivotable(d, mode="multi")
-    # Otherwise the three smallest entries are 2 and the maximum is >= 4:
-    # peel them, build edge-disjoint trees, attach a fresh central cycle
-    # through the maximum-degree vertex.
-    d1 = d.max_degree
-    red = d.copy()
-    for _ in range(3):
-        if debug_asserts_enabled():
-            assert red.min_degree == 2, red
-        red.remove_min_entry()
-    red.remove_entry_of_value(d1)
-    red.add_entry(d1 - 2)
-    _debug_seq(red, simple=False)
-    g = _two_edst_multi_graph(red)
-    hub = g.find_vertex_with_degree(d1 - 2)
-    x = g.add_vertex()
-    y = g.add_vertex()
-    z = g.add_vertex()
-    g.add_edge(hub, x, FLAG_T1)
-    g.add_edge(x, y, FLAG_BOTH)
-    g.add_edge(y, z, FLAG_BOTH)
-    g.add_edge(hub, z, FLAG_T2)
-    g.central_cycle = (hub, x, y, z)
-    return g, g.certificate_from_flags()
+    return g
 
 
 # --------------------------------------------------------------------------
@@ -650,18 +572,13 @@ def realize_tc(
     decision = check_tc_realizable(d, mode)
     if not decision.realizable:
         return RealizeResult(decision)
-    # No realizable sequence with n <= 2 has m = 2n-4; the one-shared
-    # builders realize those directly.
+    # No realizable sequence with n <= 2 has m = 2n-4; build_one_shared
+    # realizes those directly.
     if d.total // 2 == 2 * d.n - 4:
-        if mode == "simple":
-            g, cert = build_c4_pivotable(d)
-        else:
-            g, cert = build_c4_pivotable_multi(d)
+        g = build_c4_pivotable(d, mode)
     else:
-        if mode == "simple":
-            g, cert = build_one_shared(d)
-        else:
-            g, cert = build_one_shared_multi(d)
+        g = build_one_shared(d, mode)
+    cert = g.certificate_from_flags()
     labeling = pivot_label(g, cert)
     if debug_asserts_enabled():
         assert g.validate()
@@ -670,12 +587,8 @@ def realize_tc(
 
 
 def _nonstrict_decision(d: DegreeSequence, mode: str) -> Decision:
-    if mode == "simple":
-        if not is_graphical(d):
-            return Decision(False, mode, Reason.NOT_GRAPHICAL)
-    else:
-        if not is_multigraphical(d):
-            return Decision(False, mode, Reason.NOT_MULTIGRAPHICAL)
+    if not _is_sequence(d, mode):
+        return Decision(False, mode, _NOT_A_SEQUENCE[mode])
     n = d.n
     if n <= 1:
         return Decision(True, mode, Reason.OK_SMALL_N)
@@ -748,7 +661,6 @@ def realize_nonstrict(d: DegreeSequence, mode: str = "simple") -> RealizeResult:
     (or n <= 1); the output is a connected realization with every edge
     labeled 1.
     """
-    _check_mode(mode)
     decision = _nonstrict_decision(d, mode)
     if not decision.realizable:
         return RealizeResult(decision)

@@ -26,7 +26,6 @@ import time
 from tcreal.degseq import DegreeSequence, is_graphical, set_debug_asserts
 from tcreal.realize import (
     build_two_edst,
-    build_two_edst_multi,
     check_tc_realizable,
     realize_nonstrict,
     realize_tc,
@@ -194,11 +193,13 @@ def test_4_certificate_shapes():
         assert len(res.certificate.shared) <= 1, tup
     zero = [(3, 3, 3, 3), (4, 4, 4, 4, 4), (4, 4, 3, 3, 3, 3)]
     for tup in zero:
-        g, cert = build_two_edst(DegreeSequence(tup))
+        g = build_two_edst(DegreeSequence(tup))
+        cert = g.certificate_from_flags()
         assert len(cert.shared) == 0, tup
         assert validate_certificate(g, cert)
     for tup in [(2, 2), (3, 3, 2), (7, 7)]:
-        g, cert = build_two_edst_multi(DegreeSequence(tup))
+        g = build_two_edst(DegreeSequence(tup), "multi")
+        cert = g.certificate_from_flags()
         assert len(cert.shared) == 0, tup
         assert validate_certificate(g, cert)
 
@@ -214,11 +215,13 @@ def test_5_flagship_instances():
         assert res.certificate.central_cycle is not None
     # Multigraph bases: two parallel edges, and a double edge plus a
     # two-edge path, each split into edge-disjoint spanning trees.
-    g, cert = build_two_edst_multi(DegreeSequence([2, 2]))
+    g = build_two_edst(DegreeSequence([2, 2]), "multi")
+    cert = g.certificate_from_flags()
     assert sorted(g.degrees()) == [2, 2]
     assert g.num_edges == 2 and len(cert.shared) == 0
     assert validate_certificate(g, cert)
-    g, cert = build_two_edst_multi(DegreeSequence([3, 3, 2]))
+    g = build_two_edst(DegreeSequence([3, 3, 2]), "multi")
+    cert = g.certificate_from_flags()
     assert sorted(g.degrees(), reverse=True) == [3, 3, 2]
     pair_counts = {}
     for e in g.edge_ids():

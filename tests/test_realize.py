@@ -11,11 +11,8 @@ from tcreal.realize import (
     Reason,
     _connect_components,
     build_c4_pivotable,
-    build_c4_pivotable_multi,
     build_one_shared,
-    build_one_shared_multi,
     build_two_edst,
-    build_two_edst_multi,
     check_tc_realizable,
     realize_nonstrict,
     realize_tc,
@@ -133,7 +130,7 @@ def test_builder_preconditions():
     with pytest.raises(ValueError):
         build_two_edst(seq(3, 3, 2, 1, 1))  # minimum degree below 2
     with pytest.raises(ValueError):
-        build_two_edst_multi(seq(3, 1))  # minimum degree below 2
+        build_two_edst(seq(3, 1), "multi")  # minimum degree below 2
     with pytest.raises(ValueError):
         build_one_shared(seq(3, 2, 2, 2, 1))  # sum below 4(n-1) - 2
     with pytest.raises(ValueError):
@@ -141,9 +138,9 @@ def test_builder_preconditions():
     with pytest.raises(ValueError):
         build_c4_pivotable(seq(4, 2, 2, 2, 2))  # maximum degree too large
     with pytest.raises(ValueError):
-        build_c4_pivotable_multi(seq(3, 3, 2))
+        build_c4_pivotable(seq(3, 3, 2), "multi")
     with pytest.raises(ValueError):
-        build_one_shared_multi(seq(2, 1, 1))  # sum below 4(n-1) - 2
+        build_one_shared(seq(2, 1, 1), "multi")  # sum below 4(n-1) - 2
 
 
 # -- construction routes ------------------------------------------------------
@@ -218,11 +215,13 @@ def test_multi_routes(debug_asserts):
 def test_two_edst_has_no_shared_edges():
     for tup in [(3, 3, 3, 3), (4, 4, 4, 4, 4), (4, 4, 3, 3, 3, 3),
                 (5, 4, 4, 4, 3, 2)]:
-        g, cert = build_two_edst(DegreeSequence(tup))
+        g = build_two_edst(DegreeSequence(tup))
+        cert = g.certificate_from_flags()
         assert cert.shared == set()
         assert validate_certificate(g, cert)
     for tup in [(2, 2), (3, 3, 2), (4, 2, 2), (7, 7)]:
-        g, cert = build_two_edst_multi(DegreeSequence(tup))
+        g = build_two_edst(DegreeSequence(tup), "multi")
+        cert = g.certificate_from_flags()
         assert cert.shared == set()
         assert validate_certificate(g, cert)
 
@@ -230,14 +229,16 @@ def test_two_edst_has_no_shared_edges():
 def test_one_shared_has_at_most_one():
     for tup in [(3, 3, 3, 3, 3, 3), (4, 3, 3, 3, 3, 3, 3),
                 (4, 4, 4, 4, 3, 1)]:
-        g, cert = build_one_shared(DegreeSequence(tup))
+        g = build_one_shared(DegreeSequence(tup))
+        cert = g.certificate_from_flags()
         assert len(cert.shared) <= 1
         assert validate_certificate(g, cert)
 
 
 def test_c4_certificates_have_induced_cycle():
     for tup in [(2, 2, 2, 2), tuple([3] * 8), (3, 3, 2, 2, 2)]:
-        g, cert = build_c4_pivotable(DegreeSequence(tup))
+        g = build_c4_pivotable(DegreeSequence(tup))
+        cert = g.certificate_from_flags()
         assert len(cert.shared) == 2
         assert cert.central_cycle is not None
         assert validate_certificate(g, cert)
