@@ -11,7 +11,6 @@ from .degseq import (
     DegreeSequence,
     debug_asserts_enabled,
     set_debug_asserts,
-    normalize,
     is_graphical,
     is_multigraphical,
     lay_off_graphical,
@@ -61,7 +60,6 @@ __all__ = [
     "DegreeSequence",
     "debug_asserts_enabled",
     "set_debug_asserts",
-    "normalize",
     "is_graphical",
     "is_multigraphical",
     "lay_off_graphical",

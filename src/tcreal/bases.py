@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .graphstore import (
-    FLAG_BOTH,
     FLAG_NONE,
     FLAG_T1,
     FLAG_T2,
@@ -22,6 +21,7 @@ from .graphstore import (
 
 __all__ = [
     "instantiate",
+    "tree_flags",
     "K4_EDST",
     "C4_BASE",
     "TRIANGLE_ONE_SHARED",
@@ -147,21 +147,26 @@ C4_GADGET_SPLIT = {
 }
 
 
+def tree_flags(m: int, split: dict) -> List[int]:
+    """The flag of each of m edge positions, from the ``tree1`` and
+    ``tree2`` position lists of ``split``; a shared position gets
+    FLAG_T1 | FLAG_T2, which is FLAG_BOTH."""
+    flags = [FLAG_NONE] * m
+    for i in split["tree1"]:
+        flags[i] |= FLAG_T1
+    for i in split["tree2"]:
+        flags[i] |= FLAG_T2
+    return flags
+
+
 def instantiate(fixture: dict, mode: str) -> LabeledMultigraph:
     """Materialize a fixture into a graph with tree flags set."""
     g = LabeledMultigraph(mode)
     for _ in range(fixture["n"]):
         g.add_vertex()
-    t1 = set(fixture["tree1"])
-    t2 = set(fixture["tree2"])
-    for i, (u, v) in enumerate(fixture["edges"]):
-        flag = FLAG_NONE
-        if i in t1 and i in t2:
-            flag = FLAG_BOTH
-        elif i in t1:
-            flag = FLAG_T1
-        elif i in t2:
-            flag = FLAG_T2
+    edges = fixture["edges"]
+    flags = tree_flags(len(edges), fixture)
+    for (u, v), flag in zip(edges, flags):
         g.add_edge(u, v, flag)
     cyc: Optional[Tuple[int, int, int, int]] = fixture.get("cycle")
     g.central_cycle = cyc

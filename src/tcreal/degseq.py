@@ -16,7 +16,6 @@ __all__ = [
     "DegreeSequence",
     "debug_asserts_enabled",
     "set_debug_asserts",
-    "normalize",
     "is_graphical",
     "is_multigraphical",
     "lay_off_graphical",
@@ -319,16 +318,10 @@ class DegreeSequence:
             self._unlink(node)
         self.total -= 1
 
-    def split_max_and_drop_min(self) -> int:
-        """Decrement one copy of the maximum, then remove one minimum entry.
-
-        Fused equivalent of ``decrement_one_of_value(max_degree)`` followed
-        by ``remove_min_entry()``; returns the old maximum.
-        """
-        return self.split_max_and_drop_min_run(1)[0]
-
     def split_max_and_drop_min_run(self, limit: int) -> Tuple[int, int]:
-        """Apply ``split_max_and_drop_min`` k times at once, in O(1).
+        """Take k steps at once, in O(1), each decrementing one copy of
+        the maximum and then removing one minimum entry
+        (``decrement_one_of_value(max_degree)``, ``remove_min_entry()``).
 
         k is the largest count up to ``limit`` over which every step sees
         the same old maximum and the same minimum value, so a caller that
@@ -387,11 +380,6 @@ class DegreeSequence:
         assert self.tail is prev
         assert total == self.total, (total, self.total)
         assert count == self.n
-
-
-def normalize(values: Iterable[int]) -> DegreeSequence:
-    """Sort arbitrary degree values into a consistent sequence."""
-    return DegreeSequence(values)
 
 
 def is_graphical(d: DegreeSequence) -> bool:

@@ -443,17 +443,8 @@ def _attach_c4_gadget(g: LabeledMultigraph, hub: int) -> None:
     """Attach the frozen 6-vertex hub gadget; its central 4-cycle
     becomes the graph's central cycle."""
     verts = [hub] + [g.add_vertex() for _ in range(6)]
-    t1 = set(bases.C4_GADGET_SPLIT["tree1"])
-    t2 = set(bases.C4_GADGET_SPLIT["tree2"])
-    for i, (a, b) in enumerate(bases.C4_GADGET_EDGES):
-        if i in t1 and i in t2:
-            flag = FLAG_BOTH
-        elif i in t1:
-            flag = FLAG_T1
-        elif i in t2:
-            flag = FLAG_T2
-        else:
-            flag = FLAG_NONE
+    flags = bases.tree_flags(len(bases.C4_GADGET_EDGES), bases.C4_GADGET_SPLIT)
+    for (a, b), flag in zip(bases.C4_GADGET_EDGES, flags):
         g.add_edge(verts[a], verts[b], flag)
     g.central_cycle = (verts[0], verts[1], verts[2], verts[3])
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .degseq import DegreeSequence, is_graphical, is_multigraphical, normalize
+from .degseq import DegreeSequence, is_graphical, is_multigraphical
 from .graphstore import Certificate, GraphError, LabeledMultigraph
 
 __all__ = [
@@ -484,7 +484,7 @@ def oracle_tc_realizable_sequence(
         raise OracleCapError(
             f"oracle caps exceeded (n={n} > {cap_n} or m={total // 2} > {cap_m})"
         )
-    ds = normalize(degrees)
+    ds = DegreeSequence(degrees)
     if mode == "simple" and not is_graphical(ds):
         return False
     if mode == "multi" and not is_multigraphical(ds):
@@ -517,11 +517,11 @@ def enumerate_sequences(n: int, mode: str = "simple") -> Iterator[DegreeSequence
     if mode not in ("simple", "multi"):
         raise ValueError(f"unknown mode {mode!r}")
     if n == 0:
-        yield normalize([])
+        yield DegreeSequence([])
         return
     max_deg = n - 1 if mode == "simple" else 2 * n
     test = is_graphical if mode == "simple" else is_multigraphical
     for combo in itertools.combinations_with_replacement(range(max_deg, -1, -1), n):
-        ds = normalize(combo)
+        ds = DegreeSequence(combo)
         if test(ds):
             yield ds

@@ -12,7 +12,6 @@ from tcreal.degseq import (
     is_graphical,
     is_multigraphical,
     lay_off_graphical,
-    normalize,
     parse_sequence,
 )
 
@@ -53,8 +52,8 @@ def all_sequences(n, max_value):
 
 
 def test_normalize_sorts():
-    assert normalize([2, 3, 2, 3]).entries == [3, 3, 2, 2]
-    assert normalize([]).entries == []
+    assert DegreeSequence([2, 3, 2, 3]).entries == [3, 3, 2, 2]
+    assert DegreeSequence([]).entries == []
 
 
 def test_bucket_invariants():
@@ -152,8 +151,8 @@ def test_split_max_and_drop_min_matches_two_step():
     for tup in [(5, 3, 3, 2), (4, 4, 4), (3, 2), (6, 6, 1)]:
         fused = DegreeSequence(tup)
         two_step = DegreeSequence(tup)
-        old_max = fused.split_max_and_drop_min()
-        assert old_max == max(tup)
+        old_max, k = fused.split_max_and_drop_min_run(1)
+        assert (old_max, k) == (max(tup), 1)
         two_step.decrement_one_of_value(max(tup))
         two_step.remove_min_entry()
         assert fused == two_step
@@ -173,7 +172,8 @@ def test_split_max_and_drop_min_run_matches_single_steps(values, limit):
     assert 1 <= k <= limit
     for _ in range(k):
         assert (steps.max_degree, steps.min_degree) == (old_max, low)
-        assert steps.split_max_and_drop_min() == old_max
+        steps.decrement_one_of_value(old_max)
+        steps.remove_min_entry()
     assert run == steps
     # The run is maximal: one more step would see another maximum or
     # minimum, or the limit was reached.
