@@ -152,10 +152,13 @@ def pivot_label(g: LabeledMultigraph, cert: Certificate) -> TemporalLabeling:
     else:
         raise GraphError("more than one shared edge requires a central cycle")
 
-    # The core holds at most four edges: take them out of the tree lists
-    # one by one rather than testing every tree edge against the core.
-    up_edges = list(cert.tree1)
-    down_edges = list(cert.tree2)
+    # Walk the tree edges in id order: set order depends on the id
+    # values, so renumbering the edges (as a reload that drops dead
+    # slots does) would otherwise change the labels.  The core holds at
+    # most four edges: take them out of the tree lists one by one rather
+    # than testing every tree edge against the core.
+    up_edges = sorted(cert.tree1)
+    down_edges = sorted(cert.tree2)
     for edges, tree in ((up_edges, cert.tree1), (down_edges, cert.tree2)):
         for e in central:
             if e in tree:
