@@ -105,7 +105,7 @@ _SEQUENCE_RULE = (
 )
 
 
-def _is_sequence(d: DegreeSequence, mode: str) -> bool:
+def _is_graphical_for(d: DegreeSequence, mode: str) -> bool:
     """``is_graphical`` in simple mode, ``is_multigraphical`` in multi mode."""
     if mode == "simple":
         return is_graphical(d)
@@ -121,7 +121,7 @@ def _require(cond: bool, what: str) -> None:
 
 def check_tc_realizable(d: DegreeSequence, mode: str = "simple") -> Decision:
     """Decide realizability in O(n) without building anything."""
-    if not _is_sequence(d, mode):
+    if not _is_graphical_for(d, mode):
         return Decision(False, mode, _NOT_A_SEQUENCE[mode])
     n = d.n
     m = d.total // 2
@@ -185,7 +185,7 @@ def _attach_flagged(
 def _debug_seq(cur: DegreeSequence, mode: str) -> None:
     if debug_asserts_enabled():
         cur._check_consistency()
-        assert _is_sequence(cur, mode), cur
+        assert _is_graphical_for(cur, mode), cur
 
 
 # --------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def build_two_edst(d: DegreeSequence, mode: str = "simple") -> LabeledMultigraph
     (which forces n >= 4).  Multi mode: multigraphical and n >= 2.
     """
     n = d.n
-    _require(_is_sequence(d, mode), _SEQUENCE_RULE)
+    _require(_is_graphical_for(d, mode), _SEQUENCE_RULE)
     _require(d.total >= 4 * (n - 1), "sum must be at least 4(n-1)")
     _require(n >= 2 and d.min_degree >= 2, "need n >= 2 and min degree >= 2")
     cur = d.copy()
@@ -367,7 +367,7 @@ def build_one_shared(d: DegreeSequence, mode: str = "simple") -> LabeledMultigra
     Simple mode: graphical.  Multi mode: multigraphical.
     """
     n = d.n
-    _require(_is_sequence(d, mode), _SEQUENCE_RULE)
+    _require(_is_graphical_for(d, mode), _SEQUENCE_RULE)
     _require(d.total >= 4 * (n - 1) - 2, "sum must be at least 4(n-1)-2")
     _require(
         n <= 2 or (d.degree_at_from_end(2) >= 2 and d.min_degree >= 1),
@@ -480,7 +480,7 @@ def build_c4_pivotable(d: DegreeSequence, mode: str = "simple") -> LabeledMultig
     d_1 < n-1.  Multi mode: multigraphical.
     """
     n = d.n
-    _require(_is_sequence(d, mode), _SEQUENCE_RULE)
+    _require(_is_graphical_for(d, mode), _SEQUENCE_RULE)
     _require(d.total == 4 * (n - 1) - 4, "sum must equal 4(n-1)-4")
     _require(
         mode == "multi" or d.max_degree < n - 1,
@@ -578,7 +578,7 @@ def realize_tc(
 
 
 def _nonstrict_decision(d: DegreeSequence, mode: str) -> Decision:
-    if not _is_sequence(d, mode):
+    if not _is_graphical_for(d, mode):
         return Decision(False, mode, _NOT_A_SEQUENCE[mode])
     n = d.n
     if n <= 1:

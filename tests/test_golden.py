@@ -1,0 +1,74 @@
+"""Golden-output corpus: every realization the pipeline builds for a
+fixed set of sequences, reduced to one sha256 digest.
+
+A change that must not alter outputs (a refactor, a store compaction)
+keeps the digest; a change that alters them on purpose updates
+``GOLDEN_DIGEST`` and says how many cases changed.  Each case hashes
+``(mode, entries, reason, max_label, central_cycle, edges)`` where
+``edges`` lists ``(u, v, tree flag, label)`` for each live edge in id
+order.  Edge ids themselves are left out, so renumbering the edges
+without reordering them keeps the digest.
+"""
+
+import hashlib
+import math
+
+from tcreal.degseq import DegreeSequence
+from tcreal.realize import realize_tc
+from tcreal.verify import enumerate_sequences
+
+GOLDEN_CASES = 16_853
+GOLDEN_DIGEST = "cf88fcdb3100741e33bd24941ef549d15ebe2648e608ec53307f2d0c18f17a59"
+
+
+def _many_distinct(n):
+    # Half 2s, ~0.7*sqrt(n) distinct values from 7 up, 5s and 6s filling
+    # the rest, with sum 4(n-1)+2.
+    k = round(0.7 * math.sqrt(n))
+    vals = [2] * (n // 2) + list(range(7 + k - 1, 6, -1))
+    rest = n - len(vals)
+    fives = 6 * rest - (4 * (n - 1) + 2 - sum(vals))
+    return vals + [5] * fives + [6] * (rest - fives)
+
+
+LARGE_FAMILIES = {
+    "gate": lambda n: [4] * (n - 2) + [2, 2],
+    "c4": lambda n: [4] * (n - 4) + [2] * 4,
+    "c4-all-3": lambda n: [4] * (n - 8) + [3] * 8,
+    "one-shared": lambda n: [4] * (n - 3) + [2] * 3,
+    "many-distinct": _many_distinct,
+    "all-6": lambda n: [6] * n,
+}
+
+
+def corpus():
+    """(mode, DegreeSequence) for every case, in a fixed order."""
+    for n in range(10):
+        for d in enumerate_sequences(n, "simple"):
+            yield "simple", d
+    for n in range(7):
+        for d in enumerate_sequences(n, "multi"):
+            yield "multi", d
+    for family in LARGE_FAMILIES.values():
+        for mode in ("simple", "multi"):
+            yield mode, DegreeSequence(family(1000))
+
+
+def case_record(mode, d):
+    res = realize_tc(d, mode)
+    g = res.graph
+    if g is None:
+        return (mode, d.entries, res.decision.reason.value)
+    edges = [(g.eu[e], g.ev[e], g.eflag[e], g.elabel[e]) for e in g.edge_ids()]
+    return (mode, d.entries, res.decision.reason.value,
+            res.labeling.max_label, g.central_cycle, edges)
+
+
+def test_golden_corpus_digest():
+    digest = hashlib.sha256()
+    cases = 0
+    for mode, d in corpus():
+        digest.update(repr(case_record(mode, d)).encode())
+        cases += 1
+    assert cases == GOLDEN_CASES
+    assert digest.hexdigest() == GOLDEN_DIGEST

@@ -18,6 +18,7 @@ from tcreal.realize import (
     realize_tc,
 )
 from tcreal.verify import (
+    certificate_violation,
     is_proper,
     is_simple,
     is_tc,
@@ -242,6 +243,18 @@ def test_c4_certificates_have_induced_cycle():
         assert len(cert.shared) == 2
         assert cert.central_cycle is not None
         assert validate_certificate(g, cert)
+
+
+def test_all3_c4_certificates_carry_matching_pairs():
+    # The all-3 boundary route records its two cross-tree off-cycle
+    # pairs on the graph; the certificate realize_tc derives must carry
+    # them so the self-verify checks them.
+    for tup in [(3,) * 8, (4,) + (3,) * 8, (4,) * 4 + (3,) * 8]:
+        for mode in ("simple", "multi"):
+            res = realize_tc(DegreeSequence(tup), mode)
+            pairs = res.certificate.matching_pairs
+            assert pairs is not None and len(pairs) == 2, (tup, mode)
+            assert certificate_violation(res.graph, res.certificate) is None
 
 
 def test_construction_is_deterministic():
