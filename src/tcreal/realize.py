@@ -96,7 +96,7 @@ class RealizeResult:
         return self.decision.realizable
 
 
-_NOT_A_SEQUENCE = {
+_NOT_GRAPHICAL_FOR = {
     "simple": Reason.NOT_GRAPHICAL,
     "multi": Reason.NOT_MULTIGRAPHICAL,
 }
@@ -122,7 +122,7 @@ def _require(cond: bool, what: str) -> None:
 def check_tc_realizable(d: DegreeSequence, mode: str = "simple") -> Decision:
     """Decide realizability in O(n) without building anything."""
     if not _is_graphical_for(d, mode):
-        return Decision(False, mode, _NOT_A_SEQUENCE[mode])
+        return Decision(False, mode, _NOT_GRAPHICAL_FOR[mode])
     n = d.n
     m = d.total // 2
     if m < 2 * n - 4:
@@ -579,7 +579,7 @@ def realize_tc(
 
 def _nonstrict_decision(d: DegreeSequence, mode: str) -> Decision:
     if not _is_graphical_for(d, mode):
-        return Decision(False, mode, _NOT_A_SEQUENCE[mode])
+        return Decision(False, mode, _NOT_GRAPHICAL_FOR[mode])
     n = d.n
     if n <= 1:
         return Decision(True, mode, Reason.OK_SMALL_N)
