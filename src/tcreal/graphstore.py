@@ -13,9 +13,10 @@ lists (endpoints, flags, liveness, labels) plus the degrees and buckets.
 In simple mode an endpoint-pair index rejects parallel edges; it is
 built in one O(n + m) pass by the first ``add_edge`` (which
 ``from_json`` uses for every edge), and ``add_edge`` and ``remove_edge``
-keep it current.  The trusted bulk primitives skip it: ``attach_vertex``
-and the degree-3 insertions add only edges ending at a brand-new vertex,
-which cannot be parallel, so they drop the index and the next
+keep it current.  The trusted bulk primitives skip it:
+``attach_vertex``, the degree-3 insertions and the central-4-cycle
+merges (``replay_c4_merges``) add only edges ending at a brand-new
+vertex, which cannot be parallel, so they drop the index and the next
 ``add_edge`` rebuilds it.  The constructions switch between the two
 kinds of addition a bounded number of times, so the rebuilds stay
 linear.
@@ -283,6 +284,76 @@ class LabeledMultigraph:
             del vdeg[w0 + (e1 - e0) // 3:]
             raise
         return pick, other
+
+    def replay_c4_merges(
+        self, k: int, pairs: Tuple[Tuple[int, int], Tuple[int, int]]
+    ) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """Add ``k`` degree-4 vertices, each merging a cross-tree pair.
+
+        ``pairs`` holds two pairs (tree-1 edge, tree-2 edge), each pair a
+        matching, with no edge in both.  Each step deletes the first
+        pair's edges p-q and x-y and adds a vertex w joined to p, q
+        (tree 1) and to x, y (tree 2), so no old degree changes.  The
+        next first pair is the old second pair's tree-1 edge with a new
+        tree-2 edge, the next second pair a new tree-1 edge with the old
+        second pair's tree-2 edge, each new edge chosen to avoid the
+        kept edge's ends.  Returns the final pairs.  This grows the all-3
+        central-4-cycle family: the lists whose new entries do not depend
+        on the pairs are extended once up front, and the loop writes only
+        the first ends of the new edges and kills the merged pair.
+
+        Bucket entries: p, q, x and y go into the buckets of their
+        unchanged degrees and w into bucket 4, in the order a merge made
+        of ``remove_edge``, ``add_vertex`` and ``add_edge`` calls pushes
+        them.  Such a merge also pushes each of them into lower buckets on
+        the way; degrees only grow after the merges, so no lookup could
+        find those entries valid, and they are skipped.
+        """
+        (e1, e2), (f1, f2) = pairs
+        eu, ev = self.eu, self.ev
+        eflag, ealive, vdeg = self.eflag, self.ealive, self.vdeg
+        buckets = self._buckets
+        self._pairs = None
+        w0 = len(vdeg)
+        e = len(eu)
+        new_vertices = range(w0, w0 + k)
+        ev += chain.from_iterable(
+            zip(new_vertices, new_vertices, new_vertices, new_vertices))
+        eflag += (FLAG_T1, FLAG_T1, FLAG_T2, FLAG_T2) * k
+        ealive += (True,) * (4 * k)
+        self.elabel += (None,) * (4 * k)
+        # The merged ends keep their degrees and every new vertex ends at
+        # 4, so vdeg already holds the degree each push below needs.
+        vdeg += (4,) * k
+        add_u = eu.append
+        for w in new_vertices:
+            p = eu[e1]
+            q = ev[e1]
+            x = eu[e2]
+            y = ev[e2]
+            ealive[e1] = ealive[e2] = False
+            eflag[e1] = eflag[e2] = FLAG_NONE
+            add_u(p)
+            add_u(q)
+            add_u(x)
+            add_u(y)
+            for v in (p, q, x, y, w):
+                dv = vdeg[v]
+                bucket = buckets.get(dv)
+                if bucket is None:
+                    buckets[dv] = [v]
+                else:
+                    bucket.append(v)
+            # New edges e..e+3 are w-p, w-q, w-x, w-y.
+            a = eu[f1]
+            b = ev[f1]
+            c = eu[f2]
+            d = ev[f2]
+            e1 = f1
+            e2 = e + 3 if x == a or x == b else e + 2
+            f1 = e + 1 if p == c or p == d else e
+            e += 4
+        return (e1, e2), (f1, f2)
 
     # -- degree bucket queries -------------------------------------------------
 

@@ -449,33 +449,16 @@ def _attach_c4_gadget(g: LabeledMultigraph, hub: int) -> None:
     g.central_cycle = (verts[0], verts[1], verts[2], verts[3])
 
 
-def _c4_merge_step(g: LabeledMultigraph, pairs: List[List[int]]) -> None:
-    """Grow the all-3 family by one degree-4 vertex: remove one cross-tree
-    off-cycle pair, add a vertex adjacent to all four endpoints, and
-    rebuild two endpoint-disjoint cross-tree pairs."""
-    (e1, e2), (f1, f2) = pairs
-    p, q = g.endpoints(e1)
-    x, y = g.endpoints(e2)
-    f1_ends = set(g.endpoints(f1))
-    f2_ends = set(g.endpoints(f2))
-    g.remove_edge(e1)
-    g.remove_edge(e2)
-    w = g.add_vertex()
-    ep = g.add_edge(p, w, FLAG_T1)
-    eq = g.add_edge(q, w, FLAG_T1)
-    ex = g.add_edge(x, w, FLAG_T2)
-    ey = g.add_edge(y, w, FLAG_T2)
-    pairs[0] = [f1, ex if x not in f1_ends else ey]
-    pairs[1] = [ep if p not in f2_ends else eq, f2]
-
-
 def build_c4_pivotable(d: DegreeSequence, mode: str = "simple") -> LabeledMultigraph:
     """Realize a boundary sequence (sum = 4(n-1)-4) with an induced
     central 4-cycle and two spanning trees sharing exactly two of its
     edges.
 
     Returns the graph with its tree flags and ``central_cycle`` set, and
-    ``matching_pairs`` on the all-3 route.  Requires, in both modes,
+    ``matching_pairs`` on the all-3 route.  That route (after the 2s are
+    laid off: eight 3s, the rest 4s) grows the frozen n = 8 base in one
+    ``replay_c4_merges`` pass, which returns the final pairs, so its
+    cost is one list write per new edge.  Requires, in both modes,
     sum = 4(n-1)-4 and d_n >= 2.  Simple mode: graphical and
     d_1 < n-1.  Multi mode: multigraphical.
     """
@@ -524,13 +507,11 @@ def build_c4_pivotable(d: DegreeSequence, mode: str = "simple") -> LabeledMultig
     if cur.n == 4:
         g = bases.instantiate(bases.C4_BASE, mode)
     elif cur.max_degree <= 4:
-        # Unique family (4, ..., 4, 3 x 8); grow from the frozen n=8 base.
+        # Unique family (4, ..., 4, 3 x 8); grow from the frozen n=8 base
+        # one merged cross-tree pair per new degree-4 vertex.
         g = bases.instantiate(bases.C4_ALL3_8, mode)
-        p0, p1 = bases.C4_ALL3_8["pairs"]
-        pairs = [list(p0), list(p1)]
-        for _ in range(cur.n - 8):
-            _c4_merge_step(g, pairs)
-        g.matching_pairs = (tuple(pairs[0]), tuple(pairs[1]))
+        g.matching_pairs = g.replay_c4_merges(
+            cur.n - 8, bases.C4_ALL3_8["pairs"])
     else:
         # Large maximum: peel six 3s and two units of the maximum, build
         # edge-disjoint trees, then attach the hub gadget.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcreal import bases
 from tcreal.graphstore import (
     FLAG_BOTH,
     FLAG_NONE,
@@ -245,6 +246,64 @@ def test_replay_degree3_insertions_matches_single_steps():
     assert pair == t2_pair
     assert batched.degrees() == stepped.degrees()
     assert batched.to_json_dict() == stepped.to_json_dict()
+
+
+def c4_merge_step(g, pairs):
+    """Reference step for ``replay_c4_merges``: grow the all-3 family by
+    one degree-4 vertex through the general mutation API.  Removes the
+    first cross-tree pair, adds a vertex adjacent to its four endpoints,
+    and rebuilds two endpoint-disjoint cross-tree pairs in ``pairs``."""
+    (e1, e2), (f1, f2) = pairs
+    p, q = g.endpoints(e1)
+    x, y = g.endpoints(e2)
+    f1_ends = set(g.endpoints(f1))
+    f2_ends = set(g.endpoints(f2))
+    g.remove_edge(e1)
+    g.remove_edge(e2)
+    w = g.add_vertex()
+    ep = g.add_edge(p, w, FLAG_T1)
+    eq = g.add_edge(q, w, FLAG_T1)
+    ex = g.add_edge(x, w, FLAG_T2)
+    ey = g.add_edge(y, w, FLAG_T2)
+    pairs[0] = [f1, ex if x not in f1_ends else ey]
+    pairs[1] = [ep if p not in f2_ends else eq, f2]
+
+
+def _valid_pop_order(g, deg):
+    """Every vertex ``_bucket_pop_valid(deg)`` yields until it runs dry."""
+    out = []
+    while True:
+        try:
+            out.append(g._bucket_pop_valid(deg))
+        except GraphError:
+            return out
+
+
+@pytest.mark.parametrize("mode", ["simple", "multi"])
+def test_replay_c4_merges_matches_single_steps(mode):
+    start = bases.C4_ALL3_8["pairs"]
+    for k in range(301):
+        batched = bases.instantiate(bases.C4_ALL3_8, mode)
+        stepped = bases.instantiate(bases.C4_ALL3_8, mode)
+        pairs = batched.replay_c4_merges(k, start)
+        step_pairs = [list(p) for p in start]
+        for _ in range(k):
+            c4_merge_step(stepped, step_pairs)
+        assert pairs == (tuple(step_pairs[0]), tuple(step_pairs[1])), k
+        for name in ("eu", "ev", "eflag", "ealive", "elabel", "vdeg"):
+            assert getattr(batched, name) == getattr(stepped, name), (k, name)
+        assert batched.validate() and stepped.validate(), k
+        for deg in set(stepped.vdeg):
+            assert _valid_pop_order(batched, deg) == _valid_pop_order(stepped, deg), (k, deg)
+
+
+def test_replay_c4_merges_keeps_two_cross_tree_matchings():
+    g = bases.instantiate(bases.C4_ALL3_8, "simple")
+    pairs = g.replay_c4_merges(50, bases.C4_ALL3_8["pairs"])
+    for e1, e2 in pairs:
+        assert (g.eflag[e1], g.eflag[e2]) == (FLAG_T1, FLAG_T2)
+        assert not set(g.endpoints(e1)) & set(g.endpoints(e2))
+    assert sorted(g.degrees()) == [3] * 8 + [4] * 50
 
 
 def _k4_two_trees():
