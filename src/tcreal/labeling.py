@@ -20,6 +20,7 @@ returned ``TemporalLabeling`` carries only the largest label used.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from itertools import chain, compress, count
 from dataclasses import dataclass
@@ -155,14 +156,14 @@ def pivot_label(g: LabeledMultigraph, cert: Certificate) -> TemporalLabeling:
     # Walk the tree edges in id order: set order depends on the id
     # values, so renumbering the edges (as a reload that drops dead
     # slots does) would otherwise change the labels.  The core holds at
-    # most four edges: take them out of the tree lists one by one rather
-    # than testing every tree edge against the core.
+    # most four edges: find each in the sorted tree lists by bisection
+    # and delete it, rather than testing every tree edge against the core.
     up_edges = sorted(cert.tree1)
     down_edges = sorted(cert.tree2)
     for edges, tree in ((up_edges, cert.tree1), (down_edges, cert.tree2)):
         for e in central:
             if e in tree:
-                edges.remove(e)
+                del edges[bisect_left(edges, e)]
 
     # Collection phase: deepest discovery edges first, so labels strictly
     # increase along every path toward the root set.
