@@ -21,7 +21,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, TextIO
 
-from .degseq import DegreeSequence, parse_sequence
+from .degseq import DegreeSequence, _shown, parse_sequence
 from .graphstore import GraphError, LabeledMultigraph
 from .realize import Reason, check_tc_realizable, realize_tc
 from .verify import (
@@ -229,14 +229,27 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if not disagreements else EXIT_NO
 
 
+# Smallest n at which the bench family [4]*(n-2)+[2,2] is realizable.
+_BENCH_MIN_N = {"simple": 6, "multi": 4}
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-    except ValueError:
-        print(f"malformed --sizes {args.sizes!r}", file=sys.stderr)
+    # The token rule of parse_sequence: ASCII decimal digits, separated
+    # by commas or whitespace.
+    tokens = args.sizes.replace(",", " ").split()
+    bad = [tok for tok in tokens if not (tok.isascii() and tok.isdigit())]
+    if bad:
+        print(f"malformed --sizes: bad token {_shown(bad[0])}",
+              file=sys.stderr)
         return EXIT_INPUT
-    if any(n < 4 for n in sizes):
-        print("bench sizes must be at least 4", file=sys.stderr)
+    if not tokens:
+        print("--sizes must list at least one size", file=sys.stderr)
+        return EXIT_INPUT
+    sizes = [int(tok) for tok in tokens]
+    low = _BENCH_MIN_N[args.mode]
+    if any(n < low for n in sizes):
+        print(f"bench sizes must be at least {low} in {args.mode} mode",
+              file=sys.stderr)
         return EXIT_INPUT
     rows = []
     prev = None
