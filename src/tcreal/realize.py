@@ -455,10 +455,10 @@ def build_c4_pivotable(d: DegreeSequence, mode: str = "simple") -> LabeledMultig
     edges.
 
     Returns the graph with its tree flags and ``central_cycle`` set, and
-    ``matching_pairs`` on the all-3 route.  That route (after the 2s are
-    laid off: eight 3s, the rest 4s) grows the frozen n = 8 base in one
-    ``replay_c4_merges`` pass, which returns the final pairs, so its
-    cost is one list write per new edge.  Requires, in both modes,
+    ``matching_pairs`` on the all-3 route.  That route (eight 3s and
+    the rest 4s once the 2s are laid off) grows the frozen n = 8 base in
+    one ``replay_c4_merges`` pass, which returns the final pairs.
+    Requires, in both modes,
     sum = 4(n-1)-4 and d_n >= 2.  Simple mode: graphical and
     d_1 < n-1.  Multi mode: multigraphical.
     """

@@ -297,15 +297,6 @@ def test_replay_c4_merges_matches_single_steps(mode):
             assert _valid_pop_order(batched, deg) == _valid_pop_order(stepped, deg), (k, deg)
 
 
-def test_replay_c4_merges_keeps_two_cross_tree_matchings():
-    g = bases.instantiate(bases.C4_ALL3_8, "simple")
-    pairs = g.replay_c4_merges(50, bases.C4_ALL3_8["pairs"])
-    for e1, e2 in pairs:
-        assert (g.eflag[e1], g.eflag[e2]) == (FLAG_T1, FLAG_T2)
-        assert not set(g.endpoints(e1)) & set(g.endpoints(e2))
-    assert sorted(g.degrees()) == [3] * 8 + [4] * 50
-
-
 def _k4_two_trees():
     return build_fixed("simple", 4,
                        [(0, 1, FLAG_T1), (1, 2, FLAG_T1), (2, 3, FLAG_T1),
