@@ -251,6 +251,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"bench sizes must be at least {low} in {args.mode} mode",
               file=sys.stderr)
         return EXIT_INPUT
+    # The family's list of n - 2 fours needs n to fit an index.
+    if any(n > sys.maxsize for n in sizes):
+        print(f"bench sizes must be at most {sys.maxsize}", file=sys.stderr)
+        return EXIT_INPUT
     rows = []
     prev = None
     for n in sizes:

@@ -17,10 +17,13 @@ so it can serve as ground truth for the fast recognizer.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
+from collections import Counter
+from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .degseq import DegreeSequence, is_graphical, is_multigraphical
-from .graphstore import Certificate, GraphError, LabeledMultigraph
+from .graphstore import _IN_TREE1, FLAG_BOTH, Certificate, GraphError, LabeledMultigraph
 
 __all__ = [
     "simplicity_violation",
@@ -79,15 +82,24 @@ def properness_violation(g: LabeledMultigraph) -> Optional[str]:
 
     The witness is at the smallest vertex with a clash, and is that
     vertex's first clash in edge-id order: the first edge whose label an
-    earlier edge there already carries, and that earlier edge.
+    earlier edge there already carries, and that earlier edge.  Only
+    edges whose label occurs more than once can clash, so a count of the
+    labels picks the edges to walk.
     """
     eu, ev, elabel = g.eu, g.ev, g.elabel
+    counts = Counter(compress(elabel, g.ealive))
+    if None in counts:
+        e = next(e for e in g.edge_ids() if elabel[e] is None)
+        raise GraphError(f"edge {e} has no label")
+    repeated = {t for t, c in counts.items() if c > 1}
+    if not repeated:
+        return None
     first: Dict[Tuple[int, int], int] = {}  # (label, vertex) -> first edge
     witness: Optional[Tuple[int, int, int, int]] = None  # (vertex, edge, edge, label)
     for e in g.edge_ids():
         t = elabel[e]
-        if t is None:
-            raise GraphError(f"edge {e} has no label")
+        if t not in repeated:
+            continue
         for x in (eu[e], ev[e]):
             f = first.setdefault((t, x), e)
             if f != e and (witness is None or x < witness[0]):
@@ -107,61 +119,172 @@ def earliest_arrival(g: LabeledMultigraph, src: int, strict: bool = True) -> Lis
     """Earliest arrival time at every vertex for journeys starting at src.
 
     Edges are relaxed in increasing label order.  Under ``strict`` a label-t
-    edge extends only journeys that arrived before t; otherwise arrival at
-    exactly t may continue, which needs a fixpoint within each label batch.
+    edge extends only journeys that arrived before t, read from the class's
+    endpoints as they were before it fired; otherwise arrival at exactly t
+    may continue, which needs a fixpoint within each label batch.
     """
-    elabel = g.elabel
-    order = _by_label(g)
+    eu, ev = g.eu, g.ev
     arrival: List[float] = [INF] * g.n
     arrival[src] = 0
-    i = 0
-    while i < len(order):
-        j = i
-        t = elabel[order[i]]
-        while j < len(order) and elabel[order[j]] == t:
-            j += 1
-        batch = order[i:j]
+    for t, group in itertools.groupby(_by_label(g), key=g.elabel.__getitem__):
+        batch = [(eu[e], ev[e]) for e in group]
         if strict:
-            snapshot = list(arrival)
-            for e in batch:
-                u, v = g.endpoints(e)
-                if snapshot[u] < t and arrival[v] > t:
+            before = {x: arrival[x] for pair in batch for x in pair}
+            for u, v in batch:
+                if before[u] < t and arrival[v] > t:
                     arrival[v] = t
-                if snapshot[v] < t and arrival[u] > t:
+                if before[v] < t and arrival[u] > t:
                     arrival[u] = t
         else:
             changed = True
             while changed:
                 changed = False
-                for e in batch:
-                    u, v = g.endpoints(e)
+                for u, v in batch:
                     if arrival[u] <= t and arrival[v] > t:
                         arrival[v] = t
                         changed = True
                     if arrival[v] <= t and arrival[u] > t:
                         arrival[u] = t
                         changed = True
-        i = j
     return arrival
+
+
+def _pivot_core(g: LabeledMultigraph) -> Set[int]:
+    """The core the document records: its central cycle, else the ends
+    of its first edge in both trees, else vertex 0 (``pivot_label``'s
+    root when the trees share nothing)."""
+    if g.central_cycle is not None:
+        return set(g.central_cycle)
+    if FLAG_BOTH in g.eflag:  # dead edges carry FLAG_NONE
+        e = g.eflag.index(FLAG_BOTH)
+        return {g.eu[e], g.ev[e]}
+    return {0}
+
+
+def _pivot_window_holds(g: LabeledMultigraph, order: List[int]) -> bool:
+    """Whether three sweeps over the label-sorted edges ``order`` show
+    that strict journeys join every ordered vertex pair.
+
+    With R the core (``_pivot_core``) and t_lo the largest label on a
+    tree-1 edge with an end outside R:
+
+    (a) a reverse latest-departure sweep over labels <= t_lo shows that
+        every vertex reaches R;
+    (b) a forward sweep from each r in R over labels > t_lo reaches all
+        of R; t_hi is the label by which every sweep has;
+    (c) a forward sweep from R over labels > t_hi reaches every vertex.
+
+    Then every vertex reaches all of R by t_hi and every vertex from
+    there.  That holds for any R and t_lo, so a document whose core or
+    tree flags are wrong can make the check fail, never pass wrongly;
+    on ``pivot_label``'s outputs it passes.  A strict journey is also a
+    non-strict one, so passing certifies both modes.  A vertex first
+    reached in class t holds the value t, which passes neither ``< t``
+    nor ``> t``: no journey takes two edges of one class, without a
+    per-class snapshot.  O(n + m) steps and memory.
+    """
+    n = g.n
+    labels = list(map(g.elabel.__getitem__, order))
+    us = list(map(g.eu.__getitem__, order))
+    vs = list(map(g.ev.__getitem__, order))
+    core = _pivot_core(g)
+    # The last tree-1 edges in label order are the core's on our
+    # outputs, so the search back from the end stops within a few steps.
+    in_tree1 = bytes(map(g.eflag.__getitem__, order)).translate(_IN_TREE1)
+    i = in_tree1.rfind(1)
+    while i >= 0 and us[i] in core and vs[i] in core:
+        i = in_tree1.rfind(1, 0, i)
+    t_lo = labels[i] if i >= 0 else -INF
+    k = bisect_right(labels, t_lo)
+
+    # (a) depart[x]: the latest label x can leave on and still reach R
+    # by t_lo; INF on R, -INF while x has no such journey.
+    depart = [-INF] * n
+    for r in core:
+        depart[r] = INF
+    left = n - len(core)
+    for t, u, v in zip(reversed(labels[:k]), reversed(us[:k]), reversed(vs[:k])):
+        if depart[v] > t:
+            if depart[u] < t:
+                depart[u] = t
+                left -= 1
+        elif depart[u] > t and depart[v] < t:
+            depart[v] = t
+            left -= 1
+    if left:
+        return False
+
+    # (b) The window holds only the core's few edges on our outputs, so
+    # each sweep keeps its arrivals in a dict.
+    t_hi = t_lo
+    for r in core:
+        reached = {r: t_lo}
+        missing = len(core) - 1
+        i = k
+        while missing:
+            if i == len(labels):
+                return False
+            t, u, v = labels[i], us[i], vs[i]
+            i += 1
+            if reached.get(u, INF) < t:
+                x = v
+            elif reached.get(v, INF) < t:
+                x = u
+            else:
+                continue
+            if x not in reached:
+                reached[x] = t
+                if x in core:
+                    missing -= 1
+                    t_hi = max(t_hi, t)
+
+    # (c) arrival[x]: the first label a journey from R reaches x on.
+    arrival: List[float] = [INF] * n
+    for r in core:
+        arrival[r] = t_hi
+    left = n - len(core)
+    k = bisect_right(labels, t_hi)
+    for t, u, v in zip(labels[k:], us[k:], vs[k:]):
+        if arrival[u] < t:
+            if arrival[v] > t:
+                arrival[v] = t
+                left -= 1
+        elif arrival[v] < t and arrival[u] > t:
+            arrival[u] = t
+            left -= 1
+    return not left
 
 
 def tc_violation(g: LabeledMultigraph, strict: bool = True) -> Optional[str]:
     """The lexicographically first ordered pair (source, target) that no
     journey joins, or ``None`` when the labeling is temporally connected.
 
-    Runs one pass over the label-sorted edges, propagating per-vertex
-    bitsets of sources that can reach each vertex so far.  Each label
-    class touches only its own endpoints, and a count of the vertices
-    every source reaches ends the pass once it reaches n.
+    The pivot-window check (``_pivot_window_holds``) runs first, in O(m)
+    steps after the sort and O(n) memory; only when it fails does the
+    exact pass (``_reach_violation``) run, which finds the witness.
+    """
+    if g.n <= 1:
+        return None
+    order = _by_label(g)
+    if _pivot_window_holds(g, order):
+        return None
+    return _reach_violation(g, order, strict)
+
+
+def _reach_violation(g: LabeledMultigraph, order: List[int], strict: bool) -> Optional[str]:
+    """``tc_violation``'s exact pass over the label-sorted edges ``order``.
+
+    Propagates per-vertex bitsets of sources that can reach each vertex
+    so far, n²/8 bytes in all.  Each label class touches only its own
+    endpoints, and a count of the vertices every source reaches ends
+    the pass once it reaches n.
     """
     n = g.n
-    if n <= 1:
-        return None
     eu, ev = g.eu, g.ev
     full = (1 << n) - 1
     reach = [1 << v for v in range(n)]  # reach[v] = sources with a journey to v
     done = 0  # vertices v with reach[v] == full
-    for _, group in itertools.groupby(_by_label(g), key=g.elabel.__getitem__):
+    for _, group in itertools.groupby(order, key=g.elabel.__getitem__):
         batch = [(eu[e], ev[e]) for e in group]
         # The class's endpoints before it fires: strict journeys may not
         # chain two of its edges (it need not be a matching).

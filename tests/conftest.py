@@ -1,5 +1,6 @@
 """Helpers shared by the test modules."""
 
+import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from tcreal.graphstore import LabeledMultigraph
@@ -29,3 +30,23 @@ def live_incidence(g: LabeledMultigraph) -> Dict[int, List[int]]:
         out[u].append(e)
         out[v].append(e)
     return out
+
+
+def _many_distinct(n):
+    # Half 2s, ~0.7*sqrt(n) distinct values from 7 up, 5s and 6s filling
+    # the rest, with sum 4(n-1)+2.
+    k = round(0.7 * math.sqrt(n))
+    vals = [2] * (n // 2) + list(range(7 + k - 1, 6, -1))
+    rest = n - len(vals)
+    fives = 6 * rest - (4 * (n - 1) + 2 - sum(vals))
+    return vals + [5] * fives + [6] * (rest - fives)
+
+
+LARGE_FAMILIES = {
+    "gate": lambda n: [4] * (n - 2) + [2, 2],
+    "c4": lambda n: [4] * (n - 4) + [2] * 4,
+    "c4-all-3": lambda n: [4] * (n - 8) + [3] * 8,
+    "one-shared": lambda n: [4] * (n - 3) + [2] * 3,
+    "many-distinct": _many_distinct,
+    "all-6": lambda n: [6] * n,
+}

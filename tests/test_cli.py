@@ -426,6 +426,15 @@ def test_bench_rejects_sizes_below_the_family_minimum(capsys, mode, low):
     assert [row["n"] for row in json.loads(out)["runs"]] == [low]
 
 
+@pytest.mark.parametrize("sizes", ["99999999999999999999", "1000,99999999999999999999"])
+def test_bench_rejects_sizes_beyond_an_index(capsys, sizes):
+    # Larger than sys.maxsize: the family's list cannot be built at all.
+    code, out, err = run(capsys, "bench", "--sizes", sizes)
+    assert code == 2
+    assert "at most" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("sizes", ["1_000", "+10", "10,-12", "1e3", "１０"])
 def test_bench_sizes_take_ascii_digit_tokens_only(capsys, sizes):
     code, out, err = run(capsys, "bench", "--sizes", sizes)

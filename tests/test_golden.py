@@ -11,34 +11,15 @@ without reordering them keeps the digest.
 """
 
 import hashlib
-import math
 
 from tcreal.degseq import DegreeSequence
 from tcreal.realize import realize_tc
 from tcreal.verify import enumerate_sequences
 
+from conftest import LARGE_FAMILIES
+
 GOLDEN_CASES = 16_853
 GOLDEN_DIGEST = "cf88fcdb3100741e33bd24941ef549d15ebe2648e608ec53307f2d0c18f17a59"
-
-
-def _many_distinct(n):
-    # Half 2s, ~0.7*sqrt(n) distinct values from 7 up, 5s and 6s filling
-    # the rest, with sum 4(n-1)+2.
-    k = round(0.7 * math.sqrt(n))
-    vals = [2] * (n // 2) + list(range(7 + k - 1, 6, -1))
-    rest = n - len(vals)
-    fives = 6 * rest - (4 * (n - 1) + 2 - sum(vals))
-    return vals + [5] * fives + [6] * (rest - fives)
-
-
-LARGE_FAMILIES = {
-    "gate": lambda n: [4] * (n - 2) + [2, 2],
-    "c4": lambda n: [4] * (n - 4) + [2] * 4,
-    "c4-all-3": lambda n: [4] * (n - 8) + [3] * 8,
-    "one-shared": lambda n: [4] * (n - 3) + [2] * 3,
-    "many-distinct": _many_distinct,
-    "all-6": lambda n: [6] * n,
-}
 
 
 def corpus():

@@ -3,18 +3,23 @@
 import itertools
 import random
 import re
+import tracemalloc
+from collections import Counter
 
 import pytest
 
 from tcreal.degseq import DegreeSequence
 from tcreal.graphstore import (
     FLAG_BOTH,
+    FLAG_NONE,
     FLAG_T1,
     FLAG_T2,
     Certificate,
     GraphError,
+    LabeledMultigraph,
 )
 from tcreal.realize import realize_tc
+from tcreal import verify
 from tcreal.verify import (
     OracleCapError,
     certificate_violation,
@@ -30,7 +35,7 @@ from tcreal.verify import (
     validate_certificate,
 )
 
-from conftest import build_fixed, live_incidence
+from conftest import LARGE_FAMILIES, build_fixed, live_incidence
 
 INF = float("inf")
 
@@ -231,6 +236,142 @@ def test_tc_violation_matches_arrival_sweeps_on_multiword_bitsets():
             assert tc_violation(g, strict=strict) == expected, (n, mode, kind)
             cases += expected is not None
     assert cases > 0
+
+
+def earliest_arrival_by_full_snapshots(g, src, strict):
+    """The earlier ``earliest_arrival``: it copies the whole arrival list
+    for each strict label class."""
+    order = sorted(g.edge_ids(), key=g.elabel.__getitem__)
+    arrival = [INF] * g.n
+    arrival[src] = 0
+    for t, group in itertools.groupby(order, key=g.elabel.__getitem__):
+        batch = list(group)
+        if strict:
+            snapshot = list(arrival)
+            for e in batch:
+                u, v = g.endpoints(e)
+                if snapshot[u] < t and arrival[v] > t:
+                    arrival[v] = t
+                if snapshot[v] < t and arrival[u] > t:
+                    arrival[u] = t
+        else:
+            changed = True
+            while changed:
+                changed = False
+                for e in batch:
+                    u, v = g.endpoints(e)
+                    if arrival[u] <= t and arrival[v] > t:
+                        arrival[v] = t
+                        changed = True
+                    if arrival[v] <= t and arrival[u] > t:
+                        arrival[u] = t
+                        changed = True
+    return arrival
+
+
+def test_earliest_arrival_matches_full_snapshots():
+    for g in mutated_realizations():
+        for strict, src in itertools.product((True, False), range(g.n)):
+            assert earliest_arrival(g, src, strict) == (
+                earliest_arrival_by_full_snapshots(g, src, strict))
+
+
+def our_outputs():
+    """Every realization of a sequence with n <= 8 (simple) or n <= 6
+    (multi), and of the large families at n = 1,000 in both modes."""
+    for mode, top in (("simple", 8), ("multi", 6)):
+        for n in range(top + 1):
+            for d in enumerate_sequences(n, mode):
+                res = realize_tc(d, mode)
+                if res.realizable:
+                    yield res.graph
+    for family in LARGE_FAMILIES.values():
+        for mode in ("simple", "multi"):
+            res = realize_tc(DegreeSequence(family(1000)), mode)
+            assert res.realizable
+            yield res.graph
+
+
+def test_pivot_window_certifies_our_outputs(monkeypatch):
+    def exact_pass(*args):
+        raise AssertionError("the exact pass ran")
+
+    monkeypatch.setattr(verify, "_reach_violation", exact_pass)
+    for g in our_outputs():
+        assert tc_violation(g) is None
+        assert tc_violation(LabeledMultigraph.from_json(g.to_json())) is None
+
+
+def test_tc_violation_memory_is_linear():
+    # The exact pass's bitsets alone would take n²/8 = 312 MB.
+    g = realize_tc(DegreeSequence(LARGE_FAMILIES["gate"](50_000)), "simple").graph
+    tracemalloc.start()
+    try:
+        assert tc_violation(g) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def mutate_document(g, kind, rng, top):
+    ids = list(g.edge_ids())
+    if kind == "one label":
+        g.elabel[rng.choice(ids)] = rng.randint(1, top + 1)
+    elif kind == "label copied to an adjacent edge":
+        a = rng.choice(ids)
+        ends = g.endpoints(a)
+        b = rng.choice([e for e in ids if e != a and set(g.endpoints(e)) & set(ends)])
+        g.elabel[b] = g.elabel[a]
+    elif kind == "two labels swapped":
+        a, b = rng.sample(ids, 2)
+        g.elabel[a], g.elabel[b] = g.elabel[b], g.elabel[a]
+    elif kind == "labels reversed":
+        for e in ids:
+            g.elabel[e] = top + 1 - g.elabel[e]
+    elif kind == "cycle dropped":
+        g.central_cycle = None
+    elif kind == "cycle moved":
+        g.central_cycle = tuple(rng.sample(range(g.n), 4))
+    else:  # tree flags flipped
+        for e in rng.sample(ids, 2):
+            flags = [FLAG_NONE, FLAG_T1, FLAG_T2, FLAG_BOTH]
+            flags.remove(g.eflag[e])
+            g.eflag[e] = rng.choice(flags)
+
+
+LABEL_CHANGES = ("one label", "label copied to an adjacent edge",
+                 "two labels swapped")
+MUTATIONS = LABEL_CHANGES + ("labels reversed", "cycle dropped", "cycle moved",
+                             "tree flags flipped")
+
+
+def test_pivot_window_accepts_only_what_the_exact_pass_accepts():
+    rng = random.Random(2026)
+    outcomes = Counter()
+    for mode, n in itertools.product(("simple", "multi"), range(4, 6)):
+        for d in enumerate_sequences(n, mode):
+            res = realize_tc(d, mode)
+            if not res.realizable:
+                continue
+            text = res.graph.to_json()
+            for kind in MUTATIONS:
+                g = LabeledMultigraph.from_json(text)
+                mutate_document(g, kind, rng, res.labeling.max_label)
+                order = verify._by_label(g)
+                exact = verify._reach_violation(g, order, True)
+                if verify._pivot_window_holds(g, order):
+                    assert exact is None, (kind, mode, d.entries)
+                    outcomes[kind, "accepted"] += 1
+                else:
+                    outcomes[kind, "exact" if exact is None else "not tc"] += 1
+    for kind in MUTATIONS:
+        assert outcomes[kind, "accepted"] > 0, kind
+        assert outcomes[kind, "exact"] > 0, kind
+    # Reversing every label reverses every journey, so it keeps the
+    # document temporally connected; the other label changes can break it.
+    for kind in LABEL_CHANGES:
+        assert outcomes[kind, "not tc"] > 0, kind
 
 
 def test_properness_violation_names_a_real_clash():
