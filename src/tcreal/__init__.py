@@ -40,7 +40,6 @@ from .realize import (
 from .verify import (
     OracleCapError,
     certificate_violation,
-    earliest_arrival,
     enumerate_sequences,
     is_proper,
     is_simple,
@@ -88,7 +87,6 @@ __all__ = [
     # verify
     "OracleCapError",
     "certificate_violation",
-    "earliest_arrival",
     "enumerate_sequences",
     "is_proper",
     "is_simple",

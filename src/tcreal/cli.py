@@ -10,13 +10,15 @@ Subcommands:
 * ``bench``  — wall-time scaling measurements on a realizable family.
 
 Exit codes: 0 realizable / all checks pass, 1 not realizable / a check
-fails, 2 malformed input, 3 internal invariant failure.
+fails, 2 malformed input or an unwritable ``--out``, 3 internal invariant
+failure, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Dict, List, Optional, Sequence, TextIO
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141
 
 _CERT_KIND = {
     Reason.OK_C4_PIVOTABLE: "c4-pivotable",
@@ -149,17 +152,19 @@ def cmd_build(args: argparse.Namespace) -> int:
         shared_edges=len(cert.shared),
         certificate=_CERT_KIND[result.decision.reason],
     )
-    document = g.to_dot() if args.format == "dot" else g.to_json()
-    # Two writes: the document can be tens of MB, and document + "\n"
-    # would copy it.
+    write = g.write_dot if args.format == "dot" else g.write_json
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(document)
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                write(fh)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_INPUT
         _print_report(d, report, "text" if args.format == "dot" else args.format,
                       sys.stdout)
     else:
-        sys.stdout.write(document)
+        write(sys.stdout)
         sys.stdout.write("\n")
     return EXIT_OK
 
@@ -332,7 +337,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must show here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone (``| head``).  Point stdout at devnull so the
+        # flush at exit cannot fail again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ValueError as exc:  # malformed sequences and similar input issues
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

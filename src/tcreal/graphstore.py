@@ -24,10 +24,11 @@ linear.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
-from itertools import chain, compress, count
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import chain, compress, count, islice
+from typing import Dict, Iterator, List, Optional, Sequence, Set, TextIO, Tuple
 
 __all__ = [
     "FLAG_NONE",
@@ -46,7 +47,7 @@ FLAG_BOTH = 3
 
 _FLAG_NAMES = {FLAG_NONE: "none", FLAG_T1: "t1", FLAG_T2: "t2", FLAG_BOTH: "both"}
 _FLAG_VALUES = {v: k for k, v in _FLAG_NAMES.items()}
-# The layout json.dumps(to_json_dict(), indent=2) gives; see to_json.
+# The layout json.dumps(document, indent=2) gives; see write_json.
 _HEAD = '{\n  "mode": "%s",\n  "n": %d,\n  "edges": '
 _TAIL = ',\n  "central_cycle": %s\n}'
 _EDGE_RECORD = (
@@ -54,6 +55,11 @@ _EDGE_RECORD = (
     '      "tree": "%s",\n      "label": %s\n    }'
 )
 _NULL_FOR_NONE = {None: "null"}
+# Records or lines formatted per write (~1 MB of JSON), so an export
+# holds one block of text at a time, whatever the edge count.
+_BLOCK = 8192
+_DOT_COLORS = {FLAG_NONE: "gray", FLAG_T1: "orange", FLAG_T2: "blue", FLAG_BOTH: "purple"}
+_DOT_CORE = " [shape=doublecircle, style=filled, fillcolor=lightgray]"
 # bytes.translate tables: flag byte -> 1 if the edge is in that tree.
 _IN_TREE1 = bytes(1 if f & FLAG_T1 else 0 for f in range(256))
 _IN_TREE2 = bytes(1 if f & FLAG_T2 else 0 for f in range(256))
@@ -460,46 +466,34 @@ class LabeledMultigraph:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n": self.n,
-            "edges": [
-                {
-                    "id": e,
-                    "u": self.eu[e],
-                    "v": self.ev[e],
-                    "tree": _FLAG_NAMES[self.eflag[e]],
-                    "label": self.elabel[e],
-                }
-                for e in self.edge_ids()
-            ],
-            "central_cycle": list(self.central_cycle) if self.central_cycle else None,
-        }
-
-    def to_json(self) -> str:
-        """``to_json_dict()`` as ``json.dumps(..., indent=2)`` writes it.
+    def write_json(self, out: TextIO) -> None:
+        """Write the document to ``out`` as ``json.dumps(..., indent=2)``
+        lays it out, ``_BLOCK`` edge records at a time.
 
         The records are filled from the per-edge lists directly: the
         ``json`` encoder runs in pure Python whenever it indents, and
         one dict per edge would be built only to be encoded.
         """
         live = self.ealive
-        labels = list(compress(self.elabel, live))
-        records = ",\n".join(map(_EDGE_RECORD.__mod__, zip(
+        records = map(_EDGE_RECORD.__mod__, zip(
             compress(count(), live),
             compress(self.eu, live),
             compress(self.ev, live),
             map(_FLAG_NAMES.__getitem__, compress(self.eflag, live)),
-            map(_NULL_FOR_NONE.get, labels, labels),  # None -> null
-        )))
-        head = _HEAD % (self.mode, self.n)
+            map(_NULL_FOR_NONE.get, compress(self.elabel, live),
+                compress(self.elabel, live)),  # None -> null
+        ))
+        out.write(_HEAD % (self.mode, self.n) + "[")
+        out.write("\n  ]" if _write_joined(out, records, ",\n", "\n") else "]")
         cyc = self.central_cycle
-        tail = _TAIL % (
-            "[\n    %s\n  ]" % ",\n    ".join(map(str, cyc)) if cyc else "null")
-        if not records:
-            return head + "[]" + tail
-        return "".join((head, "[\n", records, "\n  ]", tail))
+        out.write(_TAIL % (
+            "[\n    %s\n  ]" % ",\n    ".join(map(str, cyc)) if cyc else "null"))
+
+    def to_json(self) -> str:
+        """The document ``write_json`` writes, as one string."""
+        buf = io.StringIO()
+        self.write_json(buf)
+        return buf.getvalue()
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LabeledMultigraph":
@@ -547,20 +541,34 @@ class LabeledMultigraph:
             raise GraphError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(data)
 
-    def to_dot(self) -> str:
+    def write_dot(self, out: TextIO) -> None:
+        """Write the graph to ``out`` in Graphviz DOT, ``_BLOCK`` lines at a
+        time: the central cycle's vertices filled, each edge colored by
+        its tree flag and tagged with its label."""
         cyc = set(self.central_cycle or ())
-        lines = ["graph G {"]
-        for v in range(self.n):
-            attrs = ' [shape=doublecircle, style=filled, fillcolor=lightgray]' if v in cyc else ""
-            lines.append(f"  {v}{attrs};")
-        colors = {FLAG_NONE: "gray", FLAG_T1: "orange", FLAG_T2: "blue", FLAG_BOTH: "purple"}
-        for e in self.edge_ids():
-            lab = self.elabel[e]
-            label = f', label="{lab}"' if lab is not None else ""
-            lines.append(
-                f"  {self.eu[e]} -- {self.ev[e]} "
-                f'[color={colors[self.eflag[e]]}{label}];'
-            )
-        lines.append("}")
-        return "\n".join(lines)
+        vertices = (f"  {v}{_DOT_CORE if v in cyc else ''};" for v in range(self.n))
+        eu, ev, eflag, elabel = self.eu, self.ev, self.eflag, self.elabel
+        edges = (
+            f"  {eu[e]} -- {ev[e]} [color={_DOT_COLORS[eflag[e]]}"
+            + ("" if elabel[e] is None else f', label="{elabel[e]}"') + "];"
+            for e in self.edge_ids()
+        )
+        _write_joined(out, chain(("graph G {",), vertices, edges, ("}",)), "\n")
 
+    def to_dot(self) -> str:
+        """The graph ``write_dot`` writes, as one string."""
+        buf = io.StringIO()
+        self.write_dot(buf)
+        return buf.getvalue()
+
+
+def _write_joined(out: TextIO, items: Iterator[str], sep: str, lead: str = "") -> bool:
+    """Write ``lead + sep.join(items)`` to ``out``, joining ``_BLOCK`` items
+    at a time, unless ``items`` is empty; returns whether it wrote.  No
+    item may be the empty string."""
+    wrote = False
+    for block in iter(lambda: sep.join(islice(items, _BLOCK)), ""):
+        out.write(sep if wrote else lead)
+        out.write(block)
+        wrote = True
+    return wrote

@@ -32,7 +32,6 @@ __all__ = [
     "certificate_violation",
     "is_proper",
     "is_simple",
-    "earliest_arrival",
     "is_tc",
     "validate_certificate",
     "oracle_tc_realizable_sequence",
@@ -113,40 +112,6 @@ def properness_violation(g: LabeledMultigraph) -> Optional[str]:
 def is_proper(g: LabeledMultigraph) -> bool:
     """No two edges sharing an endpoint carry the same label."""
     return properness_violation(g) is None
-
-
-def earliest_arrival(g: LabeledMultigraph, src: int, strict: bool = True) -> List[float]:
-    """Earliest arrival time at every vertex for journeys starting at src.
-
-    Edges are relaxed in increasing label order.  Under ``strict`` a label-t
-    edge extends only journeys that arrived before t, read from the class's
-    endpoints as they were before it fired; otherwise arrival at exactly t
-    may continue, which needs a fixpoint within each label batch.
-    """
-    eu, ev = g.eu, g.ev
-    arrival: List[float] = [INF] * g.n
-    arrival[src] = 0
-    for t, group in itertools.groupby(_by_label(g), key=g.elabel.__getitem__):
-        batch = [(eu[e], ev[e]) for e in group]
-        if strict:
-            before = {x: arrival[x] for pair in batch for x in pair}
-            for u, v in batch:
-                if before[u] < t and arrival[v] > t:
-                    arrival[v] = t
-                if before[v] < t and arrival[u] > t:
-                    arrival[u] = t
-        else:
-            changed = True
-            while changed:
-                changed = False
-                for u, v in batch:
-                    if arrival[u] <= t and arrival[v] > t:
-                        arrival[v] = t
-                        changed = True
-                    if arrival[v] <= t and arrival[u] > t:
-                        arrival[u] = t
-                        changed = True
-    return arrival
 
 
 def _pivot_core(g: LabeledMultigraph) -> Set[int]:

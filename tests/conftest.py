@@ -3,7 +3,9 @@
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from tcreal.graphstore import LabeledMultigraph
+from tcreal.graphstore import FLAG_BOTH, FLAG_NONE, FLAG_T1, FLAG_T2, LabeledMultigraph
+
+TREE_NAMES = {FLAG_NONE: "none", FLAG_T1: "t1", FLAG_T2: "t2", FLAG_BOTH: "both"}
 
 
 def build_fixed(
@@ -20,6 +22,21 @@ def build_fixed(
         g.add_edge(u, v, flag)
     g.central_cycle = central_cycle
     return g
+
+
+def to_json_dict(g: LabeledMultigraph) -> dict:
+    """The graph document as plain data: the reference whose
+    ``json.dumps(..., indent=2)`` layout ``write_json`` writes."""
+    return {
+        "mode": g.mode,
+        "n": g.n,
+        "edges": [
+            {"id": e, "u": g.eu[e], "v": g.ev[e],
+             "tree": TREE_NAMES[g.eflag[e]], "label": g.elabel[e]}
+            for e in g.edge_ids()
+        ],
+        "central_cycle": list(g.central_cycle) if g.central_cycle else None,
+    }
 
 
 def live_incidence(g: LabeledMultigraph) -> Dict[int, List[int]]:

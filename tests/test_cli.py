@@ -2,19 +2,24 @@
 
 import contextlib
 import copy
+import errno
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tcreal
 from tcreal.cli import main
 from tcreal.degseq import DegreeSequence
 from tcreal.graphstore import LabeledMultigraph
 from tcreal.realize import realize_tc
 
-from conftest import live_incidence
+from conftest import LARGE_FAMILIES, live_incidence, to_json_dict
 
 
 def run(capsys, *argv):
@@ -160,7 +165,7 @@ def test_build_writes_the_indented_document(capsys, tmp_path):
     for seq, mode in [("3 3 3 3", "simple"), ("4 2 2 2 2", "multi"),
                       ("5 3 3 3 3 3 3 3", "simple")]:
         g = realize_tc(DegreeSequence([int(x) for x in seq.split()]), mode).graph
-        expected = json.dumps(g.to_json_dict(), indent=2) + "\n"
+        expected = json.dumps(to_json_dict(g), indent=2) + "\n"
         path = tmp_path / "g.json"
         code, _, _ = run(capsys, "build", "--mode", mode, "--out", str(path), seq)
         assert code == 0
@@ -168,6 +173,53 @@ def test_build_writes_the_indented_document(capsys, tmp_path):
         code, out, _ = run(capsys, "build", "--mode", mode, seq)
         assert code == 0
         assert out == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_build_streams_the_same_bytes_to_out_and_stdout(capsys, tmp_path, fmt):
+    # 10k vertices and ~20k edges: several of the writers' blocks.
+    seq = " ".join(map(str, LARGE_FAMILIES["gate"](10_000)))
+    path = tmp_path / "g.out"
+    code, _, _ = run(capsys, "build", "--format", fmt, "--out", str(path), seq)
+    assert code == 0
+    code, out, _ = run(capsys, "build", "--format", fmt, seq)
+    assert code == 0
+    assert path.read_text(encoding="utf-8") == out
+    if fmt == "json":
+        g = realize_tc(DegreeSequence([int(x) for x in seq.split()]), "simple").graph
+        assert out == json.dumps(to_json_dict(g), indent=2) + "\n"
+
+
+def test_build_rejects_an_unwritable_out_path(capsys, tmp_path):
+    missing = tmp_path / "missing" / "g.json"
+    for path, err_no in ((missing, errno.ENOENT), (tmp_path, errno.EISDIR)):
+        code, out, err = run(capsys, "build", "--out", str(path), "3", "3", "3", "3")
+        assert code == 2
+        assert out == ""
+        assert err == f"cannot write {path}: {os.strerror(err_no)}\n"
+    assert not missing.parent.exists()
+
+
+def test_build_exits_quietly_when_the_reader_closes_stdout(tmp_path):
+    # As in `tcreal build --no-verify < seq | head -c 100`: the document
+    # is ~15 MB, far more than a pipe buffers.
+    seq = tmp_path / "seq.txt"
+    seq.write_text(" ".join(map(str, LARGE_FAMILIES["gate"](50_000))) + "\n")
+    src = os.path.dirname(os.path.dirname(tcreal.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    with open(seq) as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from tcreal.cli import main; sys.exit(main())",
+             "build", "--no-verify"],
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+    assert head.startswith(b'{\n  "mode": "simple",\n  "n": 50000,')
 
 
 def test_build_no_verify_still_builds(capsys):
@@ -310,7 +362,7 @@ JSON_VALUES = st.recursive(
     max_leaves=12,
 )
 VALID_DOCS = [
-    realize_tc(DegreeSequence(values), mode).graph.to_json_dict()
+    to_json_dict(realize_tc(DegreeSequence(values), mode).graph)
     for values, mode in [([3] * 6, "simple"), ([4, 2, 2, 2, 2], "multi")]
 ]
 

@@ -1,6 +1,9 @@
 """Graph store: mutation primitives, degree buckets, serialization."""
 
+import io
 import json
+import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from tcreal import bases
 from tcreal.graphstore import (
+    _BLOCK,
     FLAG_BOTH,
     FLAG_NONE,
     FLAG_T1,
@@ -20,7 +24,7 @@ from tcreal.degseq import DegreeSequence
 from tcreal.realize import realize_tc
 from tcreal.verify import enumerate_sequences
 
-from conftest import build_fixed, live_incidence
+from conftest import LARGE_FAMILIES, build_fixed, live_incidence, to_json_dict
 
 
 def triangle(mode="simple"):
@@ -245,7 +249,7 @@ def test_replay_degree3_insertions_matches_single_steps():
         t2_pair = (other, new_edge)
     assert pair == t2_pair
     assert batched.degrees() == stepped.degrees()
-    assert batched.to_json_dict() == stepped.to_json_dict()
+    assert to_json_dict(batched) == to_json_dict(stepped)
 
 
 def c4_merge_step(g, pairs):
@@ -379,12 +383,68 @@ def test_json_roundtrip():
     g.elabel[0] = 2
     g.elabel[1] = 1
     back = LabeledMultigraph.from_json(g.to_json())
-    assert back.to_json_dict() == g.to_json_dict()
+    assert to_json_dict(back) == to_json_dict(g)
 
 
 def indented(g):
     """The reference layout that ``to_json`` writes without the encoder."""
-    return json.dumps(g.to_json_dict(), indent=2)
+    return json.dumps(to_json_dict(g), indent=2)
+
+
+def written(write):
+    """What a ``write_json`` or ``write_dot`` method writes to a text sink."""
+    buf = io.StringIO()
+    write(buf)
+    return buf.getvalue()
+
+
+def dot_reference(g):
+    """The DOT text as one join of every line."""
+    cyc = set(g.central_cycle or ())
+    colors = {FLAG_NONE: "gray", FLAG_T1: "orange", FLAG_T2: "blue", FLAG_BOTH: "purple"}
+    lines = ["graph G {"]
+    for v in range(g.n):
+        attrs = " [shape=doublecircle, style=filled, fillcolor=lightgray]" if v in cyc else ""
+        lines.append(f"  {v}{attrs};")
+    for e in g.edge_ids():
+        lab = g.elabel[e]
+        label = f', label="{lab}"' if lab is not None else ""
+        lines.append(f"  {g.eu[e]} -- {g.ev[e]} [color={colors[g.eflag[e]]}{label}];")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+# Edge counts around the writers' block size; the DOT text has m + 7
+# lines here, so m = _BLOCK - 7 fills one block of lines exactly.
+@pytest.mark.parametrize("m", [0, 1, _BLOCK - 7, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               2 * _BLOCK + 1])
+def test_writers_match_the_references_at_block_boundaries(m):
+    # m live edges with a dead slot after each, a few of them unlabeled.
+    g = build_fixed("multi", 5, [(e % 4, (e + 1) % 4 + (e % 3 == 0), e % 4)
+                                 for e in range(2 * m)],
+                    central_cycle=(0, 1, 2, 3))
+    for e in range(2 * m):
+        g.elabel[e] = None if e % 10 == 0 else e // 2 + 1
+    for e in range(1, 2 * m, 2):
+        g.remove_edge(e)
+    assert g.num_edges == m
+    assert written(g.write_json) == g.to_json() == indented(g)
+    assert written(g.write_dot) == g.to_dot() == dot_reference(g)
+
+
+def test_writers_hold_one_block_at_a_time():
+    # The whole document is ~15 MB of text here; to_json, which returns
+    # it as one string, peaks at ~20 MB.
+    g = realize_tc(DegreeSequence(LARGE_FAMILIES["gate"](50_000)), "simple").graph
+    with open(os.devnull, "w", encoding="utf-8") as out:
+        for write in (g.write_json, g.write_dot):
+            tracemalloc.start()
+            try:
+                write(out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, write
 
 
 def test_to_json_matches_the_indented_encoder_on_small_realizations():
@@ -417,8 +477,8 @@ def test_to_json_matches_the_indented_encoder_on_edge_cases():
     cases = [dead, unlabeled, no_cycle, all_dead,
              LabeledMultigraph("simple"), build_fixed("multi", 3, [])]
     for g in cases:
-        assert g.to_json() == indented(g)
-    assert dead.to_json_dict()["edges"][0]["id"] == 1
+        assert written(g.write_json) == g.to_json() == indented(g)
+    assert to_json_dict(dead)["edges"][0]["id"] == 1
     assert '"label": null' in unlabeled.to_json()
     assert '"edges": [],' in all_dead.to_json()
     assert no_cycle.to_json().endswith('"central_cycle": null\n}')
@@ -491,6 +551,7 @@ def test_to_dot_mentions_edges_and_labels():
     dot = g.to_dot()
     assert "0 -- 1" in dot
     assert 'label="7"' in dot
+    assert dot == dot_reference(g)
 
 
 # -- randomized consistency ----------------------------------------------------

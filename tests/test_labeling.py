@@ -16,7 +16,7 @@ from tcreal.labeling import pivot_label
 from tcreal.realize import realize_tc
 from tcreal.verify import is_proper, is_simple, is_tc
 
-from conftest import build_fixed
+from conftest import build_fixed, to_json_dict
 
 
 def test_empty_graph():
@@ -168,7 +168,7 @@ def test_stale_labels_do_not_leak():
 
         # A reloaded document: its labels, scrambled, give way to the
         # ones a reload without labels gets.
-        doc = g.to_json_dict()
+        doc = to_json_dict(g)
         for rec in doc["edges"]:
             rec["label"] = None
         bare = LabeledMultigraph.from_json_dict(doc)

@@ -13,6 +13,8 @@ from tcreal.verify import (
     validate_certificate,
 )
 
+from conftest import to_json_dict
+
 modes = st.sampled_from(["simple", "multi"])
 
 
@@ -94,7 +96,7 @@ def test_json_roundtrip_of_realizations(n, pairs, mode):
         )
         return doc["mode"], doc["n"], edges, doc["central_cycle"]
 
-    assert shape(back.to_json_dict()) == shape(g.to_json_dict())
+    assert shape(to_json_dict(back)) == shape(to_json_dict(g))
     assert back.validate()
     assert is_tc(back)
 

@@ -22,8 +22,8 @@ from tcreal.realize import realize_tc
 from tcreal import verify
 from tcreal.verify import (
     OracleCapError,
+    _by_label,
     certificate_violation,
-    earliest_arrival,
     enumerate_sequences,
     is_proper,
     is_simple,
@@ -38,6 +38,41 @@ from tcreal.verify import (
 from conftest import LARGE_FAMILIES, build_fixed, live_incidence
 
 INF = float("inf")
+
+
+def earliest_arrival(g, src, strict=True):
+    """Earliest arrival time at every vertex for journeys starting at src:
+    the per-source reference for ``tc_violation``.
+
+    Edges are relaxed in increasing label order.  Under ``strict`` a label-t
+    edge extends only journeys that arrived before t, read from the class's
+    endpoints as they were before it fired; otherwise arrival at exactly t
+    may continue, which needs a fixpoint within each label batch.
+    """
+    eu, ev = g.eu, g.ev
+    arrival = [INF] * g.n
+    arrival[src] = 0
+    for t, group in itertools.groupby(_by_label(g), key=g.elabel.__getitem__):
+        batch = [(eu[e], ev[e]) for e in group]
+        if strict:
+            before = {x: arrival[x] for pair in batch for x in pair}
+            for u, v in batch:
+                if before[u] < t and arrival[v] > t:
+                    arrival[v] = t
+                if before[v] < t and arrival[u] > t:
+                    arrival[u] = t
+        else:
+            changed = True
+            while changed:
+                changed = False
+                for u, v in batch:
+                    if arrival[u] <= t and arrival[v] > t:
+                        arrival[v] = t
+                        changed = True
+                    if arrival[v] <= t and arrival[u] > t:
+                        arrival[u] = t
+                        changed = True
+    return arrival
 
 
 def labeled_cycle(labels):
