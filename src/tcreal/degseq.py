@@ -437,22 +437,14 @@ def is_multigraphical(d: DegreeSequence) -> bool:
     return d.max_degree <= d.total - d.max_degree
 
 
-def lay_off_graphical(d: DegreeSequence, i: int) -> DegreeSequence:
-    """Remove the i-th entry and decrement the largest d_i remaining entries.
-
-    Mutates ``d`` in place and returns it; O(d_i) bucket work.
-    """
-    if not 1 <= i <= d.n:
-        raise IndexError(f"index {i} out of range for sequence of length {d.n}")
-    # The last entry is the tail bucket's: take it without walking from
-    # the head, so laying off the minimum costs O(d_n).
-    value = d.tail.value if i == d.n else d.degree_at(i)
+def lay_off_graphical(d: DegreeSequence) -> DegreeSequence:
+    """Remove the last (minimum) entry d_n and decrement the largest d_n
+    remaining entries.  Mutates ``d`` in place and returns it; O(d_n)
+    bucket work."""
+    value = d.min_degree
     if value >= d.n:
         raise ValueError(f"entry {value} cannot connect to {value} distinct other vertices")
-    if i == d.n:
-        d.remove_min_entry()
-    else:
-        d.remove_entry_of_value(value)
+    d.remove_min_entry()
     d.decrement_top(value)
     if debug_asserts_enabled():
         d._check_consistency()

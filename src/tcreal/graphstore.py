@@ -9,7 +9,13 @@ vertices of equal degree break deterministically (most recently pushed
 wins), which is all the constructions need.
 
 The constructions mostly append edges, so the store keeps flat per-edge
-lists (endpoints, flags, liveness, labels) plus the degrees and buckets.
+lists (endpoints, flags, labels) plus the degrees and buckets.  Deleting
+an edge (``remove_edge``, the bulk replays) flags its slot dead, so the
+ids a construction holds stay valid, and ``finish()`` then drops the
+dead slots, keeping the edge order.  Every graph the library hands out
+is finished: readers call ``edge_ids()``, which raises ``GraphError``
+otherwise, and index the per-edge lists densely.
+
 In simple mode an endpoint-pair index rejects parallel edges; it is
 built in one O(n + m) pass by the first ``add_edge`` (which
 ``from_json`` uses for every edge), and ``add_edge`` and ``remove_edge``
@@ -27,7 +33,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, islice
 from typing import Dict, Iterator, List, Optional, Sequence, Set, TextIO, Tuple
 
 __all__ = [
@@ -45,6 +51,7 @@ FLAG_T1 = 1
 FLAG_T2 = 2
 FLAG_BOTH = 3
 
+_DEAD = 4  # the flag of a dead edge slot, which finish() drops
 _FLAG_NAMES = {FLAG_NONE: "none", FLAG_T1: "t1", FLAG_T2: "t2", FLAG_BOTH: "both"}
 _FLAG_VALUES = {v: k for k, v in _FLAG_NAMES.items()}
 # The layout json.dumps(document, indent=2) gives; see write_json.
@@ -63,6 +70,12 @@ _DOT_CORE = " [shape=doublecircle, style=filled, fillcolor=lightgray]"
 # bytes.translate tables: flag byte -> 1 if the edge is in that tree.
 _IN_TREE1 = bytes(1 if f & FLAG_T1 else 0 for f in range(256))
 _IN_TREE2 = bytes(1 if f & FLAG_T2 else 0 for f in range(256))
+_LIVE = bytes(0 if f == _DEAD else 1 for f in range(256))
+
+
+def _pair_key(u: int, v: int) -> int:
+    """The endpoint pair u-v packed into one int, the same both ways round."""
+    return u << 32 | v if u < v else v << 32 | u
 
 
 class GraphError(ValueError):
@@ -96,7 +109,7 @@ class LabeledMultigraph:
         self.ev: List[int] = []
         self.eflag: List[int] = []
         self.elabel: List[Optional[int]] = []
-        self.ealive: List[bool] = []
+        self._dead = 0  # slots flagged _DEAD
         self.vdeg: List[int] = []
         self._buckets: Dict[int, List[int]] = {}
         # Simple mode: packed endpoint pairs, built on first use; None
@@ -114,15 +127,16 @@ class LabeledMultigraph:
 
     @property
     def num_edges(self) -> int:
-        return self.ealive.count(True)
+        return len(self.eu) - self._dead
 
-    def edge_ids(self) -> Iterator[int]:
-        for e, alive in enumerate(self.ealive):
-            if alive:
-                yield e
+    def edge_ids(self) -> range:
+        """The edge ids 0..m-1; raises ``GraphError`` while dead slots remain."""
+        if self._dead:
+            raise GraphError(f"{self._dead} dead edge slots; call finish() first")
+        return range(len(self.eu))
 
     def endpoints(self, e: int) -> Tuple[int, int]:
-        if not (0 <= e < len(self.eu)) or not self.ealive[e]:
+        if not (0 <= e < len(self.eu)) or self.eflag[e] == _DEAD:
             raise GraphError(f"unknown edge id {e}")
         return self.eu[e], self.ev[e]
 
@@ -132,19 +146,12 @@ class LabeledMultigraph:
     def degrees(self) -> List[int]:
         return list(self.vdeg)
 
-    def _pair_key(self, u: int, v: int) -> int:
-        a, b = (u, v) if u < v else (v, u)
-        return a * (1 << 32) + b
-
     # -- on-demand pair index ---------------------------------------------------
 
     def _build_pairs(self) -> Set[int]:
         """Packed endpoint pairs of the live edges, in one pass."""
-        return {
-            u * 4294967296 + v if u < v else v * 4294967296 + u
-            for u, v, alive in zip(self.eu, self.ev, self.ealive)
-            if alive
-        }
+        live = bytes(self.eflag).translate(_LIVE)
+        return set(map(_pair_key, compress(self.eu, live), compress(self.ev, live)))
 
     # -- vertex / edge mutation ----------------------------------------------
 
@@ -171,7 +178,7 @@ class LabeledMultigraph:
             pairs = self._pairs
             if pairs is None:
                 pairs = self._pairs = self._build_pairs()
-            key = u * 4294967296 + v if u < v else v * 4294967296 + u
+            key = _pair_key(u, v)
             if key in pairs:
                 raise GraphError(f"parallel edge ({u}, {v}) in simple mode")
             pairs.add(key)
@@ -185,7 +192,6 @@ class LabeledMultigraph:
         self.ev.append(v)
         self.eflag.append(flag)
         self.elabel.append(None)
-        self.ealive.append(True)
         vdeg = self.vdeg
         buckets = self._buckets
         du = vdeg[u] + 1
@@ -206,10 +212,10 @@ class LabeledMultigraph:
 
     def remove_edge(self, e: int) -> None:
         u, v = self.endpoints(e)
-        self.ealive[e] = False
-        self.eflag[e] = FLAG_NONE
+        self.eflag[e] = _DEAD
+        self._dead += 1
         if self._pairs is not None:
-            self._pairs.discard(self._pair_key(u, v))
+            self._pairs.discard(_pair_key(u, v))
         for x in (u, v):
             self.vdeg[x] -= 1
             self._bucket_push(self.vdeg[x], x)
@@ -227,13 +233,12 @@ class LabeledMultigraph:
         edge with one of the two new tree-2 edges; the updated pair is
         returned.  This is the inner loop of the tight-sum construction:
         the lists whose new entries do not depend on the choices (flags,
-        labels, liveness, the new vertices' ends and degrees) are
-        extended once up front, and the loop writes only what the
-        choices decide.
+        labels, the new vertices' ends and degrees) are extended once up
+        front, and the loop writes only what the choices decide.
         """
         k = len(old_maxima)
         eu, ev = self.eu, self.ev
-        eflag, ealive, vdeg = self.eflag, self.ealive, self.vdeg
+        eflag, vdeg = self.eflag, self.vdeg
         buckets = self._buckets
         self._pairs = None
         w0 = len(vdeg)
@@ -241,7 +246,6 @@ class LabeledMultigraph:
         new_vertices = range(w0, w0 + k)
         ev += chain.from_iterable(zip(new_vertices, new_vertices, new_vertices))
         eflag += (FLAG_T1, FLAG_T2, FLAG_T2) * k
-        ealive += (True,) * (3 * k)
         self.elabel += (None,) * (3 * k)
         # A new vertex enters a bucket only once inserted, so presetting
         # the degrees of the ones still to come is invisible to lookups.
@@ -269,8 +273,7 @@ class LabeledMultigraph:
                     pick, other = other, pick
                     a = eu[pick]
                     b = ev[pick]
-                ealive[pick] = False
-                eflag[pick] = FLAG_NONE
+                eflag[pick] = _DEAD
                 add_u(u)
                 add_u(a)
                 add_u(b)
@@ -286,9 +289,11 @@ class LabeledMultigraph:
                 e1 += 3
         except BaseException:
             # Keep the steps done so far; drop the slots preset for the rest.
-            del ev[e1:], eflag[e1:], ealive[e1:], self.elabel[e1:]
+            del ev[e1:], eflag[e1:], self.elabel[e1:]
             del vdeg[w0 + (e1 - e0) // 3:]
             raise
+        finally:
+            self._dead += (e1 - e0) // 3  # one deleted edge per step done
         return pick, other
 
     def replay_c4_merges(
@@ -317,7 +322,7 @@ class LabeledMultigraph:
         """
         (e1, e2), (f1, f2) = pairs
         eu, ev = self.eu, self.ev
-        eflag, ealive, vdeg = self.eflag, self.ealive, self.vdeg
+        eflag, vdeg = self.eflag, self.vdeg
         buckets = self._buckets
         self._pairs = None
         w0 = len(vdeg)
@@ -326,7 +331,7 @@ class LabeledMultigraph:
         ev += chain.from_iterable(
             zip(new_vertices, new_vertices, new_vertices, new_vertices))
         eflag += (FLAG_T1, FLAG_T1, FLAG_T2, FLAG_T2) * k
-        ealive += (True,) * (4 * k)
+        self._dead += 2 * k
         self.elabel += (None,) * (4 * k)
         # The merged ends keep their degrees and every new vertex ends at
         # 4, so vdeg already holds the degree each push below needs.
@@ -337,8 +342,7 @@ class LabeledMultigraph:
             q = ev[e1]
             x = eu[e2]
             y = ev[e2]
-            ealive[e1] = ealive[e2] = False
-            eflag[e1] = eflag[e2] = FLAG_NONE
+            eflag[e1] = eflag[e2] = _DEAD
             add_u(p)
             add_u(q)
             add_u(x)
@@ -428,21 +432,20 @@ class LabeledMultigraph:
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> bool:
-        """All store invariants: degrees vs edges, mode, labels."""
+        """All store invariants: degrees vs live edges, dead slots, mode, labels."""
+        live = bytes(self.eflag).translate(_LIVE)
         deg = [0] * self.n
         seen_pairs: Dict[int, int] = {}
-        for e in self.edge_ids():
-            u, v = self.eu[e], self.ev[e]
+        for u, v, lab in compress(zip(self.eu, self.ev, self.elabel), live):
             if u == v:
                 return False
             deg[u] += 1
             deg[v] += 1
-            key = self._pair_key(u, v)
+            key = _pair_key(u, v)
             seen_pairs[key] = seen_pairs.get(key, 0) + 1
-            lab = self.elabel[e]
             if lab is not None and lab < 1:
                 return False
-        if deg != self.vdeg:
+        if deg != self.vdeg or live.count(0) != self._dead:
             return False
         if self.mode == "simple" and any(c > 1 for c in seen_pairs.values()):
             return False
@@ -450,10 +453,24 @@ class LabeledMultigraph:
         listed = {(d, v) for d, bucket in self._buckets.items() for v in bucket}
         return all((d, v) in listed for v, d in enumerate(self.vdeg))
 
+    def finish(self) -> "LabeledMultigraph":
+        """Drop the dead edge slots in one pass that keeps the live edges'
+        order, renumbering ``matching_pairs`` to match; returns the graph.
+        Ids taken before are stale; a finished graph is left as it is."""
+        if self._dead:
+            live = bytes(self.eflag).translate(_LIVE)
+            self.eu, self.ev, self.eflag, self.elabel = (
+                list(compress(col, live)) for col in (self.eu, self.ev, self.eflag, self.elabel))
+            if self.matching_pairs is not None:  # new id: live slots before
+                (e1, e2), (f1, f2) = ([live.count(1, 0, e) for e in pair]
+                                      for pair in self.matching_pairs)
+                self.matching_pairs = ((e1, e2), (f1, f2))
+            self._dead = 0
+        return self
+
     def certificate_from_flags(self) -> Certificate:
-        # Dead edges always carry FLAG_NONE, so flags alone decide.
+        ids = self.edge_ids()
         flags = bytes(self.eflag)
-        ids = range(len(flags))
         t1 = set(compress(ids, flags.translate(_IN_TREE1)))
         t2 = set(compress(ids, flags.translate(_IN_TREE2)))
         return Certificate(
@@ -474,14 +491,11 @@ class LabeledMultigraph:
         ``json`` encoder runs in pure Python whenever it indents, and
         one dict per edge would be built only to be encoded.
         """
-        live = self.ealive
+        elabel = self.elabel
         records = map(_EDGE_RECORD.__mod__, zip(
-            compress(count(), live),
-            compress(self.eu, live),
-            compress(self.ev, live),
-            map(_FLAG_NAMES.__getitem__, compress(self.eflag, live)),
-            map(_NULL_FOR_NONE.get, compress(self.elabel, live),
-                compress(self.elabel, live)),  # None -> null
+            self.edge_ids(), self.eu, self.ev,
+            map(_FLAG_NAMES.__getitem__, self.eflag),
+            map(_NULL_FOR_NONE.get, elabel, elabel),  # None -> null
         ))
         out.write(_HEAD % (self.mode, self.n) + "[")
         out.write("\n  ]" if _write_joined(out, records, ",\n", "\n") else "]")
@@ -545,13 +559,13 @@ class LabeledMultigraph:
         """Write the graph to ``out`` in Graphviz DOT, ``_BLOCK`` lines at a
         time: the central cycle's vertices filled, each edge colored by
         its tree flag and tagged with its label."""
+        self.edge_ids()  # finished graphs only
         cyc = set(self.central_cycle or ())
         vertices = (f"  {v}{_DOT_CORE if v in cyc else ''};" for v in range(self.n))
-        eu, ev, eflag, elabel = self.eu, self.ev, self.eflag, self.elabel
         edges = (
-            f"  {eu[e]} -- {ev[e]} [color={_DOT_COLORS[eflag[e]]}"
-            + ("" if elabel[e] is None else f', label="{elabel[e]}"') + "];"
-            for e in self.edge_ids()
+            f"  {u} -- {v} [color={_DOT_COLORS[f]}"
+            + ("" if lab is None else f', label="{lab}"') + "];"
+            for u, v, f, lab in zip(self.eu, self.ev, self.eflag, self.elabel)
         )
         _write_joined(out, chain(("graph G {",), vertices, edges, ("}",)), "\n")
 

@@ -105,7 +105,7 @@ def _cycle_edge_ids(
 ) -> List[int]:
     """Edge ids of the four ring edges of the central cycle, in ring order.
 
-    Where parallel edges join two ring vertices, the lowest live id is
+    Where parallel edges join two ring vertices, the lowest id is
     taken.  One scan of the endpoint list finds them without building
     the per-vertex adjacency.
     """
@@ -114,14 +114,13 @@ def _cycle_edge_ids(
         a, b = cycle[i], cycle[(i + 1) % 4]
         want[(min(a, b), max(a, b))] = i
     found: List[Optional[int]] = [None] * 4
-    eu, ev, ealive = g.eu, g.ev, g.ealive
+    eu, ev = g.eu, g.ev
     on_ring = set(cycle).__contains__
-    for e in compress(count(), map(on_ring, eu)):
-        if ealive[e]:
-            u, w = eu[e], ev[e]
-            i = want.get((min(u, w), max(u, w)))
-            if i is not None and found[i] is None:
-                found[i] = e
+    for e in compress(g.edge_ids(), map(on_ring, eu)):
+        u, w = eu[e], ev[e]
+        i = want.get((min(u, w), max(u, w)))
+        if i is not None and found[i] is None:
+            found[i] = e
     if any(x is None for x in found):
         raise GraphError("central cycle edges missing from the graph")
     return [x for x in found if x is not None]
@@ -130,13 +129,14 @@ def _cycle_edge_ids(
 def pivot_label(g: LabeledMultigraph, cert: Certificate) -> TemporalLabeling:
     """Label the graph so it is temporally connected under strict journeys.
 
-    Writes every live edge's label into ``g.elabel``, after clearing the
-    list so no earlier label survives.  Requires a valid certificate: two
-    spanning trees covering every edge, sharing at most two edges; two
-    shared edges must lie on the recorded central 4-cycle.
+    Writes every edge's label into ``g.elabel``, after clearing the list
+    so no earlier label survives.  Requires a finished graph and a valid
+    certificate: two spanning trees covering every edge, sharing at most
+    two edges; two shared edges must lie on the recorded central 4-cycle.
     """
+    ids = g.edge_ids()
     elabel = g.elabel
-    elabel[:] = [None] * len(elabel)
+    elabel[:] = [None] * len(ids)
     if g.n == 0:
         return TemporalLabeling(0)
 
@@ -154,10 +154,10 @@ def pivot_label(g: LabeledMultigraph, cert: Certificate) -> TemporalLabeling:
         raise GraphError("more than one shared edge requires a central cycle")
 
     # Walk the tree edges in id order: set order depends on the id
-    # values, so renumbering the edges (as a reload that drops dead
-    # slots does) would otherwise change the labels.  The core holds at
-    # most four edges: find each in the sorted tree lists by bisection
-    # and delete it, rather than testing every tree edge against the core.
+    # values, so renumbering the edges without reordering them would
+    # otherwise change the labels.  The core holds at most four edges:
+    # find each in the sorted tree lists by bisection and delete it,
+    # rather than testing every tree edge against the core.
     up_edges = sorted(cert.tree1)
     down_edges = sorted(cert.tree2)
     for edges, tree in ((up_edges, cert.tree1), (down_edges, cert.tree2)):
@@ -196,11 +196,9 @@ def pivot_label(g: LabeledMultigraph, cert: Certificate) -> TemporalLabeling:
         top = t_r + 2 + len(down_order)
 
     # Anything outside both trees gets fresh labels on top.  When the
-    # trees labeled every live edge, the sweep over all edge slots is
-    # skipped.
-    ealive = g.ealive
-    if None not in compress(elabel, ealive):
+    # trees labeled every edge, the sweep over the edges is skipped.
+    if None not in elabel:
         return TemporalLabeling(top)
-    extra = [e for e in compress(count(), ealive) if elabel[e] is None]
+    extra = [e for e in ids if elabel[e] is None]
     _write_labels(elabel, extra, top + 1)
     return TemporalLabeling(top + len(extra))

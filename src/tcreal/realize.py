@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, count
 from typing import Dict, List, Optional, Tuple
 
 from . import bases
@@ -196,9 +195,9 @@ def _debug_seq(cur: DegreeSequence, mode: str) -> None:
 def build_two_edst(d: DegreeSequence, mode: str = "simple") -> LabeledMultigraph:
     """Realize a sequence with two edge-disjoint spanning trees.
 
-    Returns the graph with its tree flags set.  Requires, in both modes,
-    sum >= 4(n-1) and minimum degree >= 2.  Simple mode: graphical
-    (which forces n >= 4).  Multi mode: multigraphical and n >= 2.
+    Returns the finished graph with its tree flags set.  Requires, in
+    both modes, sum >= 4(n-1) and minimum degree >= 2.  Simple mode:
+    graphical (which forces n >= 4).  Multi mode: multigraphical, n >= 2.
     """
     n = d.n
     _require(_is_graphical_for(d, mode), _SEQUENCE_RULE)
@@ -249,7 +248,7 @@ def build_two_edst(d: DegreeSequence, mode: str = "simple") -> LabeledMultigraph
             u = g._bucket_pop_valid(a)
             v = g._bucket_pop_valid(b, exclude={u})
             g.add_edge(u, v, FLAG_NONE)
-    return g
+    return g.finish()
 
 
 def _two_edst_descent(cur: DegreeSequence, mode: str) -> LabeledMultigraph:
@@ -280,7 +279,7 @@ def _two_edst_descent(cur: DegreeSequence, mode: str) -> LabeledMultigraph:
         else:
             dn = cur.tail.value
             plan_append(("attach", _top_after_min_removal(cur, dn)))
-            lay_off_graphical(cur, nn)
+            lay_off_graphical(cur)
             total = cur.total
             nn = cur.n
         if dbg:
@@ -362,8 +361,8 @@ def _one_shared_deg3(cur: DegreeSequence, mode: str) -> LabeledMultigraph:
 def build_one_shared(d: DegreeSequence, mode: str = "simple") -> LabeledMultigraph:
     """Realize a sequence with two spanning trees sharing at most one edge.
 
-    Returns the graph with its tree flags set.  Requires, in both modes,
-    sum >= 4(n-1)-2 and, for n > 2, both d_{n-1} >= 2 and d_n >= 1.
+    Returns the finished graph with its tree flags set.  Requires, in
+    both modes, sum >= 4(n-1)-2 and, for n > 2, d_{n-1} >= 2 and d_n >= 1.
     Simple mode: graphical.  Multi mode: multigraphical.
     """
     n = d.n
@@ -410,20 +409,20 @@ def build_one_shared(d: DegreeSequence, mode: str = "simple") -> LabeledMultigra
         cur.remove_min_entry()
         _debug_seq(cur, "multi")
         g = build_two_edst(cur, "multi")
-        split = next(e for e in g.edge_ids() if g.eflag[e] == FLAG_T1)
+        split = g.eflag.index(FLAG_T1)
         u, v = g.endpoints(split)
         g.remove_edge(split)
         w = g.add_vertex()
         g.add_edge(u, w, FLAG_BOTH)
         g.add_edge(w, v, FLAG_T1)
-        return g
+        return g.finish()
     # Lay off the 2s (simple mode only; the multi boundary left here has
     # minimum 3 and is graphical), then build a degree-3 base.
     cur = d.copy()
     plan: List[Tuple[int, int]] = []
     while cur.min_degree == 2 and cur.n > 3:
         plan.append((cur.max_degree - 1, cur.degree_at(2) - 1))
-        lay_off_graphical(cur, cur.n)
+        lay_off_graphical(cur)
         _debug_seq(cur, "simple")
     if cur.n == 3:
         g = bases.instantiate(bases.TRIANGLE_ONE_SHARED, mode)
@@ -454,10 +453,10 @@ def build_c4_pivotable(d: DegreeSequence, mode: str = "simple") -> LabeledMultig
     central 4-cycle and two spanning trees sharing exactly two of its
     edges.
 
-    Returns the graph with its tree flags and ``central_cycle`` set, and
-    ``matching_pairs`` on the all-3 route.  That route (eight 3s and
-    the rest 4s once the 2s are laid off) grows the frozen n = 8 base in
-    one ``replay_c4_merges`` pass, which returns the final pairs.
+    Returns the finished graph with its tree flags and ``central_cycle``
+    set, and ``matching_pairs`` on the all-3 route.  That route (eight
+    3s and the rest 4s once the 2s are laid off) grows the frozen n = 8
+    base in one ``replay_c4_merges`` pass, which returns the final pairs.
     Requires, in both modes,
     sum = 4(n-1)-4 and d_n >= 2.  Simple mode: graphical and
     d_1 < n-1.  Multi mode: multigraphical.
@@ -500,7 +499,7 @@ def build_c4_pivotable(d: DegreeSequence, mode: str = "simple") -> LabeledMultig
     plan: List[Tuple[int, int]] = []
     while cur.min_degree == 2 and cur.n > 4:
         plan.append((cur.max_degree - 1, cur.degree_at(2) - 1))
-        lay_off_graphical(cur, cur.n)
+        lay_off_graphical(cur)
         _debug_seq(cur, "simple")
         if debug_asserts_enabled():
             assert cur.max_degree < cur.n - 1, cur
@@ -529,7 +528,7 @@ def build_c4_pivotable(d: DegreeSequence, mode: str = "simple") -> LabeledMultig
         _attach_c4_gadget(g, hub)
     for a, b in reversed(plan):
         _attach_flagged(g, [a, b])
-    return g
+    return g.finish()
 
 
 # --------------------------------------------------------------------------
@@ -580,7 +579,7 @@ def _connect_components(g: LabeledMultigraph) -> None:
     (c, d) of another component for (a, c) and (b, d) joins the two
     without changing any degree.  The components with spares are merged
     first, so the merged part holds every spare left when the trees
-    follow; m >= n-1 leaves one spare per merge.
+    follow; m >= n-1 leaves one spare per merge.  Ends with ``finish()``.
     """
     eu, ev = g.eu, g.ev
     parent = list(range(g.n))
@@ -593,8 +592,8 @@ def _connect_components(g: LabeledMultigraph) -> None:
 
     link: Dict[int, int] = {}  # root -> a forest edge of its component
     spares: List[int] = []
-    for e in compress(count(), g.ealive):
-        ru, rv = find(eu[e]), find(ev[e])
+    for e, u, v in zip(g.edge_ids(), eu, ev):
+        ru, rv = find(u), find(v)
         if ru == rv:
             spares.append(e)
         else:
@@ -624,6 +623,7 @@ def _connect_components(g: LabeledMultigraph) -> None:
         g.add_edge(a, c)
         g.add_edge(b, d)
         pool += by_root.get(r, ())
+    g.finish()
 
 
 def realize_nonstrict(d: DegreeSequence, mode: str = "simple") -> RealizeResult:
@@ -644,7 +644,7 @@ def realize_nonstrict(d: DegreeSequence, mode: str = "simple") -> RealizeResult:
         plan: List[List[Tuple[int, int]]] = []
         while cur.total > 0:
             plan.append(_top_after_min_removal(cur, cur.min_degree))
-            lay_off_graphical(cur, cur.n)
+            lay_off_graphical(cur)
         g = LabeledMultigraph(mode)
         for _ in range(cur.n):
             g.add_vertex()
@@ -678,7 +678,7 @@ def realize_nonstrict(d: DegreeSequence, mode: str = "simple") -> RealizeResult:
             g.add_edge(u, v)
     if n >= 2:
         _connect_components(g)
-    g.elabel[:] = [1 if alive else None for alive in g.ealive]
+    g.elabel[:] = [1] * g.num_edges
     labeling = TemporalLabeling(1 if g.num_edges else 0)
     if debug_asserts_enabled():
         assert g.validate()

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from collections import Counter
-from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .degseq import DegreeSequence, is_graphical, is_multigraphical
@@ -47,23 +46,20 @@ class OracleCapError(ValueError):
 
 
 def _by_label(g: LabeledMultigraph) -> List[int]:
-    """Live edge ids sorted by label, ties in id order; raise on a gap."""
+    """Edge ids sorted by label, ties in id order; raise on a gap."""
+    ids = g.edge_ids()
     elabel = g.elabel
-    ids = list(g.edge_ids())
-    for e in ids:
-        if elabel[e] is None:
-            raise GraphError(f"edge {e} has no label")
+    if None in elabel:
+        raise GraphError(f"edge {elabel.index(None)} has no label")
     return sorted(ids, key=elabel.__getitem__)
 
 
 def simplicity_violation(g: LabeledMultigraph) -> Optional[str]:
-    """The first live edge without exactly one positive integer label.
+    """The first edge without exactly one positive integer label.
 
     ``bool`` is not accepted as an integer label.
     """
-    elabel = g.elabel
-    for e in g.edge_ids():
-        t = elabel[e]
+    for e, t in zip(g.edge_ids(), g.elabel):
         if t is None:
             return f"edge {e} has no label"
         if type(t) is not int or t < 1:
@@ -85,21 +81,20 @@ def properness_violation(g: LabeledMultigraph) -> Optional[str]:
     edges whose label occurs more than once can clash, so a count of the
     labels picks the edges to walk.
     """
-    eu, ev, elabel = g.eu, g.ev, g.elabel
-    counts = Counter(compress(elabel, g.ealive))
+    ids = g.edge_ids()
+    elabel = g.elabel
+    counts = Counter(elabel)
     if None in counts:
-        e = next(e for e in g.edge_ids() if elabel[e] is None)
-        raise GraphError(f"edge {e} has no label")
+        raise GraphError(f"edge {elabel.index(None)} has no label")
     repeated = {t for t, c in counts.items() if c > 1}
     if not repeated:
         return None
     first: Dict[Tuple[int, int], int] = {}  # (label, vertex) -> first edge
     witness: Optional[Tuple[int, int, int, int]] = None  # (vertex, edge, edge, label)
-    for e in g.edge_ids():
-        t = elabel[e]
+    for e, t, u, v in zip(ids, elabel, g.eu, g.ev):
         if t not in repeated:
             continue
-        for x in (eu[e], ev[e]):
+        for x in (u, v):
             f = first.setdefault((t, x), e)
             if f != e and (witness is None or x < witness[0]):
                 witness = (x, f, e, t)
@@ -120,7 +115,7 @@ def _pivot_core(g: LabeledMultigraph) -> Set[int]:
     root when the trees share nothing)."""
     if g.central_cycle is not None:
         return set(g.central_cycle)
-    if FLAG_BOTH in g.eflag:  # dead edges carry FLAG_NONE
+    if FLAG_BOTH in g.eflag:
         e = g.eflag.index(FLAG_BOTH)
         return {g.eu[e], g.ev[e]}
     return {0}
@@ -315,15 +310,15 @@ class _DSU:
 def _spanning_tree_violation(
     g: LabeledMultigraph, edges: Set[int], name: str
 ) -> Optional[str]:
+    m = len(g.edge_ids())
     want = max(g.n - 1, 0)
     if len(edges) != want:
         return f"{name} has {len(edges)} edges, a spanning tree needs {want}"
-    eu, ev, ealive = g.eu, g.ev, g.ealive
-    m = len(eu)
+    eu, ev = g.eu, g.ev
     union = _DSU(g.n).union
     for e in sorted(edges):
-        if not (0 <= e < m and ealive[e]):
-            return f"{name} edge {e} is not a live edge"
+        if not 0 <= e < m:
+            return f"{name} edge {e} is not an edge id"
         u, v = eu[e], ev[e]
         if not union(u, v):
             return f"{name} edge {e} ({u}, {v}) closes a cycle"
@@ -363,8 +358,8 @@ def certificate_violation(g: LabeledMultigraph, cert: Certificate) -> Optional[s
         chord_pairs = {frozenset((cyc[0], cyc[2])), frozenset((cyc[1], cyc[3]))}
         pair_to_edges: Dict[frozenset, List[int]] = {p: [] for p in cyc_pairs}
         on_cycle = set(cyc)
-        for e, u, v, alive in zip(itertools.count(), g.eu, g.ev, g.ealive):
-            if not (alive and u in on_cycle and v in on_cycle):
+        for e, u, v in zip(g.edge_ids(), g.eu, g.ev):
+            if not (u in on_cycle and v in on_cycle):
                 continue
             key = frozenset((u, v))
             if key in pair_to_edges:
@@ -390,7 +385,6 @@ def certificate_violation(g: LabeledMultigraph, cert: Certificate) -> Optional[s
                 return f"matching pair ({e1}, {e2}) uses a central cycle edge"
             if e1 not in cert.tree1 or e2 not in cert.tree2:
                 return f"matching pair ({e1}, {e2}) is not a tree-1 and a tree-2 edge"
-            # Both are tree edges, so both are live.
             common = set(g.endpoints(e1)) & set(g.endpoints(e2))
             if common:
                 return f"matching pair ({e1}, {e2}) shares vertex {min(common)}"

@@ -40,7 +40,7 @@ def to_json_dict(g: LabeledMultigraph) -> dict:
 
 
 def live_incidence(g: LabeledMultigraph) -> Dict[int, List[int]]:
-    """Each vertex's live edge ids, in edge-id order."""
+    """Each vertex's edge ids, in edge-id order."""
     out: Dict[int, List[int]] = {v: [] for v in range(g.n)}
     for e in g.edge_ids():
         u, v = g.endpoints(e)

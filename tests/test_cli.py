@@ -278,6 +278,25 @@ def test_verify_detects_improper_labels(capsys, tmp_path):
     assert out == "FAIL properness: edges 0 and 1 at vertex 1 share label 1\n"
 
 
+def test_verify_witness_names_the_built_document_ids(capsys, tmp_path):
+    # The build deletes edges on its way; the document's ids must still
+    # be the numbers verify's witnesses use.
+    path = tmp_path / "g.json"
+    code, _, _ = run(capsys, "build", "--out", str(path),
+                     "4 4 4 4 4 4 4 4 4 4 4 4 2 2")
+    assert code == 0
+    doc = json.loads(path.read_text())
+    first, last = doc["edges"][1], doc["edges"][-1]
+    (v,) = {first["u"], first["v"]} & {last["u"], last["v"]}
+    last["label"] = first["label"]
+    path.write_text(json.dumps(doc, indent=2))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out == (f"FAIL properness: edges {first['id']} and {last['id']} "
+                   f"at vertex {v} share label {first['label']}\n")
+    assert [rec["id"] for rec in doc["edges"]] == list(range(len(doc["edges"])))
+
+
 def test_verify_detects_unreachable_pair(capsys, tmp_path):
     doc = {
         "mode": "simple",

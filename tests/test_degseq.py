@@ -227,31 +227,48 @@ def test_is_multigraphical_random(values):
 # -- laying off ---------------------------------------------------------------
 
 
+def lay_off_at(d, i):
+    """Reference lay-off of any entry: remove the i-th entry (from 1) and
+    decrement the largest d_i remaining entries, in place."""
+    if not 1 <= i <= d.n:
+        raise IndexError(f"index {i} out of range for sequence of length {d.n}")
+    value = d.degree_at(i)
+    if value >= d.n:
+        raise ValueError(f"entry {value} cannot connect to {value} distinct other vertices")
+    d.remove_entry_of_value(value)
+    d.decrement_top(value)
+    return d
+
+
 def test_lay_off_graphical_examples():
     d = DegreeSequence([3, 2, 2, 2, 1])
-    lay_off_graphical(d, 5)  # remove the trailing 1, decrement the top entry
+    lay_off_graphical(d)  # remove the trailing 1, decrement the top entry
     assert d.entries == [2, 2, 2, 2]
     d = DegreeSequence([3, 3, 2, 2])
-    lay_off_graphical(d, 4)
+    lay_off_graphical(d)
     assert d.entries == [2, 2, 2]
 
 
 def test_lay_off_graphical_preserves_graphicality():
+    # Laying off any entry keeps a graphical sequence graphical; the
+    # library lays off the last one.
     for n in range(2, 8):
         for tup in all_sequences(n, n - 1):
             d = DegreeSequence(tup)
             if not is_graphical(d) or d.min_degree == 0:
                 continue
             for i in range(1, n + 1):
-                red = DegreeSequence(tup)
-                lay_off_graphical(red, i)
+                red = lay_off_at(DegreeSequence(tup), i)
                 assert red.n == n - 1
                 assert is_graphical(red), (tup, i)
+            assert lay_off_graphical(d) == red, tup
 
 
 def test_lay_off_errors():
     with pytest.raises(IndexError):
-        lay_off_graphical(DegreeSequence([2, 2, 2]), 4)
+        lay_off_graphical(DegreeSequence([]))
+    with pytest.raises(ValueError):
+        lay_off_graphical(DegreeSequence([1]))
 
 
 @st.composite
@@ -270,11 +287,8 @@ def graphical_sequences(draw):
 @given(graphical_sequences())
 def test_tail_lay_off_matches_the_generic_path(values):
     d = DegreeSequence(values)
-    generic = d.copy()
-    value = generic.degree_at(generic.n)
-    generic.remove_entry_of_value(value)
-    generic.decrement_top(value)
-    lay_off_graphical(d, d.n)
+    generic = lay_off_at(d.copy(), d.n)
+    lay_off_graphical(d)
     d._check_consistency()
     assert d == generic
 

@@ -5,9 +5,10 @@ A change that must not alter outputs (a refactor, a store compaction)
 keeps the digest; a change that alters them on purpose updates
 ``GOLDEN_DIGEST`` and says how many cases changed.  Each case hashes
 ``(mode, entries, reason, max_label, central_cycle, edges)`` where
-``edges`` lists ``(u, v, tree flag, label)`` for each live edge in id
-order.  Edge ids themselves are left out, so renumbering the edges
-without reordering them keeps the digest.
+``edges`` lists ``(u, v, tree flag, label)`` for each edge of the
+finished graph in id order.  Edge ids themselves are left out, so
+renumbering the edges without reordering them (as ``finish()`` does
+when it drops the builder's dead slots) keeps the digest.
 """
 
 import hashlib

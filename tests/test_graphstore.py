@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tcreal import bases
 from tcreal.graphstore import (
     _BLOCK,
+    _DEAD,
     FLAG_BOTH,
     FLAG_NONE,
     FLAG_T1,
@@ -21,8 +22,15 @@ from tcreal.graphstore import (
     LabeledMultigraph,
 )
 from tcreal.degseq import DegreeSequence
-from tcreal.realize import realize_tc
-from tcreal.verify import enumerate_sequences
+from tcreal.labeling import pivot_label
+from tcreal.realize import _connect_components, realize_tc
+from tcreal.verify import (
+    certificate_violation,
+    enumerate_sequences,
+    properness_violation,
+    simplicity_violation,
+    tc_violation,
+)
 
 from conftest import LARGE_FAMILIES, build_fixed, live_incidence, to_json_dict
 
@@ -88,7 +96,14 @@ def test_remove_edge_then_re_add():
     assert sorted(g.degrees()) == [1, 1, 2]
     with pytest.raises(GraphError):
         g.endpoints(e)
-    g.add_edge(0, 1)  # the slot is free again in the pair index
+    with pytest.raises(GraphError):
+        g.remove_edge(e)
+    f = g.add_edge(0, 1)  # the slot is free again in the pair index
+    assert g.validate()
+    # attach_vertex drops the pair index; its rebuild skips dead slots.
+    g.remove_edge(f)
+    g.attach_vertex([1])
+    g.add_edge(0, 1)
     assert g.validate()
 
 
@@ -176,14 +191,12 @@ def replace_edge_with_degree3_vertex(g, u, pick):
     are unchanged overall.  Returns (w, first tree-2 edge).
     """
     eu, ev = g.eu, g.ev
-    if not g.ealive[pick]:
-        raise GraphError(f"unknown edge id {pick}")
-    a, b = eu[pick], ev[pick]
+    a, b = g.endpoints(pick)
     if u == a or u == b:
         raise GraphError("replacement edge must avoid the tree-1 anchor")
     g._pairs = None
-    g.ealive[pick] = False
-    g.eflag[pick] = FLAG_NONE
+    g.eflag[pick] = _DEAD
+    g._dead += 1
     vdeg = g.vdeg
     w = len(vdeg)
     e1 = len(eu)
@@ -191,7 +204,6 @@ def replace_edge_with_degree3_vertex(g, u, pick):
     ev += (w, w, w)
     g.eflag += (FLAG_T1, FLAG_T2, FLAG_T2)
     g.elabel += (None, None, None)
-    g.ealive += (True, True, True)
     vdeg.append(3)
     vdeg[u] += 1
     g._bucket_push(vdeg[u], u)
@@ -218,7 +230,7 @@ def test_replace_edge_with_degree3_vertex_matches_primitives():
     assert g.validate() and ref.validate()
     live = lambda h: sorted(
         (min(h.endpoints(e)), max(h.endpoints(e)), h.eflag[e])
-        for e in h.edge_ids()
+        for e in h.finish().edge_ids()
     )
     assert live(g) == live(ref)
 
@@ -248,8 +260,8 @@ def test_replay_degree3_insertions_matches_single_steps():
         _, new_edge = replace_edge_with_degree3_vertex(stepped, u, pick)
         t2_pair = (other, new_edge)
     assert pair == t2_pair
-    assert batched.degrees() == stepped.degrees()
-    assert to_json_dict(batched) == to_json_dict(stepped)
+    for name in ("eu", "ev", "eflag", "elabel", "vdeg", "_dead"):
+        assert getattr(batched, name) == getattr(stepped, name), name
 
 
 def c4_merge_step(g, pairs):
@@ -294,7 +306,7 @@ def test_replay_c4_merges_matches_single_steps(mode):
         for _ in range(k):
             c4_merge_step(stepped, step_pairs)
         assert pairs == (tuple(step_pairs[0]), tuple(step_pairs[1])), k
-        for name in ("eu", "ev", "eflag", "ealive", "elabel", "vdeg"):
+        for name in ("eu", "ev", "eflag", "elabel", "vdeg", "_dead"):
             assert getattr(batched, name) == getattr(stepped, name), (k, name)
         assert batched.validate() and stepped.validate(), k
         for deg in set(stepped.vdeg):
@@ -312,14 +324,15 @@ def test_replay_failure_keeps_the_steps_done():
     with pytest.raises(GraphError):
         g.replay_degree3_insertions([4, 4, 9], (3, 5))  # no vertex of degree 8
     assert g.n == 6
-    assert len(g.eu) == len(g.ev) == len(g.eflag) == len(g.elabel) == len(g.ealive) == 12
+    assert len(g.eu) == len(g.ev) == len(g.eflag) == len(g.elabel) == 12
+    assert g.num_edges == 10
     assert g.validate()
     assert sorted(g.degrees()) == [3, 3, 3, 3, 4, 4]
 
 
 def _assert_pair_index_complete(g):
-    for e in list(g.edge_ids()):
-        u, v = g.endpoints(e)
+    live = [(u, v) for u, v, f in zip(g.eu, g.ev, g.eflag) if f != _DEAD]
+    for u, v in live:
         for a, b in ((u, v), (v, u)):
             with pytest.raises(GraphError):
                 g.add_edge(a, b)
@@ -332,7 +345,7 @@ def test_indexes_built_on_first_use_after_realize():
                 [6, 5, 4, 4, 3, 3, 3, 2]):
         g = realize_tc(DegreeSequence(seq), "simple").graph
         _assert_pair_index_complete(g)
-        e = next(g.edge_ids())
+        e = g.edge_ids()[0]
         u, v = g.endpoints(e)
         g.remove_edge(e)
         g.add_edge(u, v)  # the removed pair is free again
@@ -344,11 +357,92 @@ def test_indexes_built_before_trusted_insertions_are_rebuilt():
     g.remove_edge(0)
     g.add_edge(0, 1, FLAG_T1)  # the pair index now exists
     g.replay_degree3_insertions([4, 4, 4], (3, 5))
-    g.attach_vertex([3, 3])
-    replace_edge_with_degree3_vertex(g, g.n - 1, next(
-        e for e in g.edge_ids() if g.n - 1 not in g.endpoints(e)))
+    w, _ = g.attach_vertex([3, 3])
+    replace_edge_with_degree3_vertex(g, w, next(
+        e for e in g.finish().edge_ids() if w not in g.endpoints(e)))
     _assert_pair_index_complete(g)
     assert g.validate()
+
+
+# -- finishing ----------------------------------------------------------------
+
+
+def test_finish_keeps_edge_order_and_flags():
+    g = build_fixed("multi", 5, [(e % 5, (e + 1 + e % 3) % 5, e % 4) for e in range(40)])
+    for e in range(40):
+        g.elabel[e] = None if e % 7 == 0 else e + 1
+    for e in (0, 3, 4, 17, 38):
+        g.remove_edge(e)
+    kept = [(g.eu[e], g.ev[e], g.eflag[e], g.elabel[e])
+            for e in range(40) if e not in (0, 3, 4, 17, 38)]
+    degrees = g.degrees()
+    assert g.num_edges == 35
+    assert g.finish() is g
+    assert list(zip(g.eu, g.ev, g.eflag, g.elabel)) == kept
+    assert g.edge_ids() == range(35) and g.num_edges == 35
+    assert g.degrees() == degrees and g.validate()
+    # The store keeps building after a finish.
+    g.add_edge(0, 1, FLAG_T1)
+    assert g.endpoints(35) == (0, 1) and g.validate()
+
+
+def test_finish_twice_changes_nothing():
+    for family in ("gate", "c4", "c4-all-3", "many-distinct"):
+        g = realize_tc(DegreeSequence(LARGE_FAMILIES[family](200)), "simple").graph
+        lists = [g.eu, g.ev, g.eflag, g.elabel]
+        before = to_json_dict(g), g.matching_pairs
+        g.finish()
+        assert all(a is b for a, b in zip([g.eu, g.ev, g.eflag, g.elabel], lists))
+        assert (to_json_dict(g), g.matching_pairs) == before
+
+
+@pytest.mark.parametrize("mode", ["simple", "multi"])
+def test_finish_renumbers_the_matching_pairs(mode):
+    g = bases.instantiate(bases.C4_ALL3_8, mode)
+    pairs = g.replay_c4_merges(992, bases.C4_ALL3_8["pairs"])
+    ends = [[(g.eu[e], g.ev[e], g.eflag[e]) for e in pair] for pair in pairs]
+    g.matching_pairs = pairs
+    g.finish()
+    assert g.matching_pairs != pairs
+    assert [[(g.eu[e], g.ev[e], g.eflag[e]) for e in pair]
+            for pair in g.matching_pairs] == ends
+    # And on realize_tc's outputs at an n with many merges.
+    res = realize_tc(DegreeSequence(LARGE_FAMILIES["c4-all-3"](1000)), mode)
+    assert res.certificate.matching_pairs is not None
+    assert certificate_violation(res.graph, res.certificate) is None
+
+
+def _unfinished():
+    g = build_fixed("simple", 4, [(0, 1, FLAG_BOTH), (1, 3, FLAG_NONE), (1, 2, FLAG_T1),
+                                  (2, 3, FLAG_T1), (3, 0, FLAG_T2), (0, 2, FLAG_T2)])
+    g.elabel[:] = [3, 6, 1, 2, 4, 5]
+    g.remove_edge(1)
+    return g
+
+
+# The certificate of the finished _unfinished() graph.
+_CERT = Certificate({0, 1, 2}, {0, 3, 4}, {0})
+
+
+@pytest.mark.parametrize("read", [
+    lambda g: g.edge_ids(),
+    lambda g: g.certificate_from_flags(),
+    lambda g: pivot_label(g, _CERT),
+    lambda g: g.write_json(io.StringIO()),
+    lambda g: g.write_dot(io.StringIO()),
+    lambda g: g.to_json(),
+    lambda g: g.to_dot(),
+    _connect_components,
+    simplicity_violation,
+    properness_violation,
+    tc_violation,
+    lambda g: certificate_violation(g, _CERT),
+])
+def test_readers_reject_unfinished_graphs(read):
+    g = _unfinished()
+    with pytest.raises(GraphError, match="dead edge slots"):
+        read(g)
+    read(g.finish())
 
 
 # -- certificates -------------------------------------------------------------
@@ -365,10 +459,12 @@ def test_certificate_from_flags():
 
 
 def test_certificate_ignores_removed_edges():
-    g = build_fixed("multi", 2, [(0, 1, FLAG_T1), (0, 1, FLAG_T2),
-                                 (0, 1, FLAG_T1)])
-    g.remove_edge(2)
-    cert = g.certificate_from_flags()
+    g = build_fixed("multi", 2, [(0, 1, FLAG_T1), (0, 1, FLAG_T1),
+                                 (0, 1, FLAG_T2)])
+    g.remove_edge(0)
+    with pytest.raises(GraphError):
+        g.certificate_from_flags()
+    cert = g.finish().certificate_from_flags()
     assert cert.tree1 == {0} and cert.tree2 == {1}
 
 
@@ -427,7 +523,7 @@ def test_writers_match_the_references_at_block_boundaries(m):
         g.elabel[e] = None if e % 10 == 0 else e // 2 + 1
     for e in range(1, 2 * m, 2):
         g.remove_edge(e)
-    assert g.num_edges == m
+    assert g.finish().num_edges == m
     assert written(g.write_json) == g.to_json() == indented(g)
     assert written(g.write_dot) == g.to_dot() == dot_reference(g)
 
@@ -468,17 +564,21 @@ def test_to_json_matches_the_indented_encoder_on_edge_cases():
         dead.elabel[e] = lab
     dead.remove_edge(0)
     dead.remove_edge(3)
+    dead.finish()
     unlabeled = triangle()
     unlabeled.elabel[1] = 4
     no_cycle = build_fixed("simple", 2, [(0, 1, FLAG_T1)])
     no_cycle.elabel[0] = 1
     all_dead = build_fixed("simple", 2, [(0, 1, FLAG_T1)])
     all_dead.remove_edge(0)
+    all_dead.finish()
     cases = [dead, unlabeled, no_cycle, all_dead,
              LabeledMultigraph("simple"), build_fixed("multi", 3, [])]
     for g in cases:
         assert written(g.write_json) == g.to_json() == indented(g)
-    assert to_json_dict(dead)["edges"][0]["id"] == 1
+    assert to_json_dict(dead)["edges"][:2] == [
+        {"id": 0, "u": 1, "v": 2, "tree": "t2", "label": 1},
+        {"id": 1, "u": 0, "v": 1, "tree": "both", "label": 2}]
     assert '"label": null' in unlabeled.to_json()
     assert '"edges": [],' in all_dead.to_json()
     assert no_cycle.to_json().endswith('"central_cycle": null\n}')
@@ -572,6 +672,7 @@ def test_random_multi_graphs_stay_consistent(pairs):
     for e in added[::2]:
         g.remove_edge(e)
     assert g.validate()
+    assert g.finish().validate()
     degs = [0] * 8
     for e in g.edge_ids():
         u, v = g.endpoints(e)

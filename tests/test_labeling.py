@@ -151,8 +151,8 @@ def test_label_plain_tree_nonstrict():
 def test_stale_labels_do_not_leak():
     # pivot_label writes into g.elabel; labels already there, scrambled
     # or loaded from a document, must neither survive nor change the
-    # result.  The cases cover edges outside both trees (the sweep), dead
-    # edge slots, and the central cycle.
+    # result.  The cases cover edges outside both trees (the sweep), builds
+    # that delete edges on their way, and the central cycle.
     cases = [((5, 4, 4, 4, 3, 2), "simple"), ((6,) * 8, "simple"),
              ((4,) * 10 + (2, 2), "simple"), ((2, 2, 2, 2), "simple"),
              ((4, 2, 2, 2, 2), "multi"), ((6, 5, 4, 4, 3, 3, 3, 2), "multi")]
@@ -161,7 +161,7 @@ def test_stale_labels_do_not_leak():
         g, top = fresh.graph, fresh.labeling.max_label
         expected = list(g.elabel)
 
-        # A realization with every slot, dead ones too, scrambled.
+        # A realization with every label scrambled.
         g.elabel[:] = [1 + (7 * e) % 3 for e in range(len(g.elabel))]
         assert pivot_label(g, g.certificate_from_flags()).max_label == top
         assert g.elabel == expected, (tup, mode)
@@ -182,11 +182,12 @@ def test_stale_labels_do_not_leak():
 
 
 def test_reloaded_graph_relabels_identically():
-    # A reload drops dead edge slots and so renumbers the edges; the
-    # labels must not depend on the id values, only on their order.
-    # Python set order does depend on them: walking the certificate's
-    # tree sets unsorted gave other labels here for simple all-6 at
-    # n = 13, 50 and 1,000.
+    # The labels must not depend on the id values, only on their order,
+    # so renumbering the edges without reordering them keeps them.
+    # Python set order does depend on the values: walking the
+    # certificate's tree sets unsorted gave other labels here for simple
+    # all-6 at n = 13, 50 and 1,000, when built graphs still numbered
+    # their edges with gaps.
     families = {
         "gate": lambda n: [4] * (n - 2) + [2, 2],
         "c4": lambda n: [4] * (n - 4) + [2] * 4,

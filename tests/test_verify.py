@@ -498,11 +498,14 @@ def test_certificate_rejects_dead_and_unknown_tree_edges():
     )
     g.remove_edge(3)
     cert = Certificate(tree1={0, 1, 3}, tree2={0, 2, 3}, shared={0, 3})
-    assert certificate_violation(g, cert) == "tree 1 edge 3 is not a live edge"
+    with pytest.raises(GraphError):
+        certificate_violation(g, cert)
+    g.finish()
+    assert certificate_violation(g, cert) == "tree 1 edge 3 is not an edge id"
     for bad in (4, -1):
         cert = Certificate(tree1={0, 1, bad}, tree2={0, 2, 3}, shared={0})
         assert certificate_violation(g, cert) == (
-            f"tree 1 edge {bad} is not a live edge"
+            f"tree 1 edge {bad} is not an edge id"
         )
 
 
@@ -516,8 +519,8 @@ def test_certificate_rejects_a_doubled_ring_pair():
     assert certificate_violation(g, g.certificate_from_flags()) == (
         "central cycle pair (1, 2) has 2 edges, not 1"
     )
-    g.remove_edge(4)  # a dead slot on the ring pair does not count
-    assert certificate_violation(g, g.certificate_from_flags()) is None
+    g.remove_edge(4)  # a removed edge on the ring pair does not count
+    assert certificate_violation(g.finish(), g.certificate_from_flags()) is None
 
 
 def test_certificate_rejects_a_shared_edge_off_the_cycle():
