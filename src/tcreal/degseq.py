@@ -3,7 +3,9 @@
 A sequence is kept sorted non-increasingly at all times.  The canonical
 storage is a doubly-linked list of buckets ``(value, count)`` with strictly
 decreasing values, which makes laying off an entry of value ``d`` an
-``O(d)`` operation instead of a re-sort.
+``O(d)`` operation instead of a re-sort.  Runs of equal steps take O(1)
+in all: ``split_max_and_drop_min_run`` for the tight degree-3 steps and
+``lay_off_two_run`` for the lay-offs of 2s onto a repeated maximum.
 """
 
 from __future__ import annotations
@@ -359,6 +361,37 @@ class DegreeSequence:
             self._unlink(head)
         self.n -= k
         self.total -= k * (1 + dropped)
+        return value, k
+
+    def lay_off_two_run(self, limit: int) -> Tuple[int, int]:
+        """Take k tail lay-offs of a 2 at once, in O(1), each joining the
+        2 to two entries of the maximum v (``lay_off_graphical``).
+
+        Applies while the minimum is 2 and the maximum bucket holds at
+        least two entries of v >= 4, so every step sees the same v and
+        its v - 1 entries never meet the 2s; k is the most steps up to
+        ``limit`` that do.  Returns ``(v - 1, k)``, or ``(0, 0)`` with
+        nothing changed where no step applies.
+        """
+        if limit < 1:
+            raise ValueError("a run needs at least one step")
+        head, tail = self.head, self.tail
+        if tail is None or tail.value != 2 or head.value < 4 or head.count < 2:
+            return 0, 0
+        value = head.value - 1
+        k = min(limit, head.count // 2, tail.count)
+        below = head.next
+        if below.value != value:  # the 2s lie below, so head.next exists
+            below = self._insert_after(head, value, 0)
+        below.count += 2 * k
+        head.count -= 2 * k
+        if head.count == 0:
+            self._unlink(head)
+        tail.count -= k
+        if tail.count == 0:
+            self._unlink(tail)
+        self.n -= k
+        self.total -= 4 * k
         return value, k
 
     def _check_consistency(self) -> None:

@@ -20,12 +20,12 @@ In simple mode an endpoint-pair index rejects parallel edges; it is
 built in one O(n + m) pass by the first ``add_edge`` (which
 ``from_json`` uses for every edge), and ``add_edge`` and ``remove_edge``
 keep it current.  The trusted bulk primitives skip it:
-``attach_vertex``, the degree-3 insertions and the central-4-cycle
-merges (``replay_c4_merges``) add only edges ending at a brand-new
-vertex, which cannot be parallel, so they drop the index and the next
-``add_edge`` rebuilds it.  The constructions switch between the two
-kinds of addition a bounded number of times, so the rebuilds stay
-linear.
+``attach_vertex``, its run form ``attach_pair_run``, the degree-3
+insertions and the central-4-cycle merges (``replay_c4_merges``) add
+only edges ending at a brand-new vertex, which cannot be parallel, so
+they drop the index and the next ``add_edge`` rebuilds it.  The
+constructions switch between the two kinds of addition a bounded number
+of times, so the rebuilds stay linear.
 """
 
 from __future__ import annotations
@@ -54,11 +54,12 @@ FLAG_BOTH = 3
 _DEAD = 4  # the flag of a dead edge slot, which finish() drops
 _FLAG_NAMES = {FLAG_NONE: "none", FLAG_T1: "t1", FLAG_T2: "t2", FLAG_BOTH: "both"}
 _FLAG_VALUES = {v: k for k, v in _FLAG_NAMES.items()}
-# The layout json.dumps(document, indent=2) gives; see write_json.
+# The layout json.dumps(document, indent=2) gives; see write_json.  The
+# record takes its ints by %s, which formats them as %d does, faster.
 _HEAD = '{\n  "mode": "%s",\n  "n": %d,\n  "edges": '
 _TAIL = ',\n  "central_cycle": %s\n}'
 _EDGE_RECORD = (
-    '    {\n      "id": %d,\n      "u": %d,\n      "v": %d,\n'
+    '    {\n      "id": %s,\n      "u": %s,\n      "v": %s,\n'
     '      "tree": "%s",\n      "label": %s\n    }'
 )
 _NULL_FOR_NONE = {None: "null"}
@@ -365,6 +366,55 @@ class LabeledMultigraph:
             e += 4
         return (e1, e2), (f1, f2)
 
+    def attach_pair_run(self, x: int, k: int) -> None:
+        """Add ``k`` vertices, each joined by a tree-1 and then a tree-2
+        edge to two vertices of degree ``x``, as ``k`` calls of
+        ``attach_vertex([x, x])`` do with those flags set.
+
+        This replays a run of ``lay_off_two_run``.  With x >= 3 a new
+        vertex (degree <= 2) is never a target, and no step pops the
+        buckets the steps push to (x + 1 and each new vertex's 0, 1, 2),
+        so the loop only pops the 2k targets from bucket x; the per-edge
+        lists and the other buckets are extended once, in the order the
+        single steps push to them.  Raises ``GraphError`` when bucket x
+        runs dry, keeping the steps done.
+        """
+        if x < 3:
+            raise GraphError(f"a pair run needs target degree >= 3, got {x}")
+        vdeg = self.vdeg
+        buckets = self._buckets
+        bucket = buckets.get(x, [])
+        targets: List[int] = []
+        pop = bucket.pop
+        take = targets.append
+        for _ in range(2 * k):
+            while bucket:
+                u = pop()
+                if vdeg[u] == x:
+                    break
+            else:
+                break
+            vdeg[u] = x + 1
+            take(u)
+        if len(targets) & 1:  # half a step: put its target back
+            u = targets.pop()
+            vdeg[u] = x
+            bucket.append(u)
+        done = len(targets) // 2
+        self._pairs = None
+        w0 = len(vdeg)
+        new_vertices = range(w0, w0 + done)
+        self.eu += targets
+        self.ev += chain.from_iterable(zip(new_vertices, new_vertices))
+        self.eflag += (FLAG_T1, FLAG_T2) * done
+        self.elabel += (None,) * (2 * done)
+        vdeg += (2,) * done
+        for d in (0, 1, 2):  # each new vertex's degree on the way
+            buckets.setdefault(d, []).extend(new_vertices)
+        buckets.setdefault(x + 1, []).extend(targets)
+        if done < k:
+            raise GraphError(f"no available vertex of degree {x}")
+
     # -- degree bucket queries -------------------------------------------------
 
     def _bucket_pop_valid(self, deg: int, exclude: Optional[Set[int]] = None) -> int:
@@ -489,16 +539,26 @@ class LabeledMultigraph:
 
         The records are filled from the per-edge lists directly: the
         ``json`` encoder runs in pure Python whenever it indents, and
-        one dict per edge would be built only to be encoded.
+        one dict per edge would be built only to be encoded.  Each block
+        is one ``%`` call, of ``_BLOCK`` records' template joined by
+        ``",\n"``, on the block's columns flattened record by record.
         """
-        elabel = self.elabel
-        records = map(_EDGE_RECORD.__mod__, zip(
-            self.edge_ids(), self.eu, self.ev,
-            map(_FLAG_NAMES.__getitem__, self.eflag),
-            map(_NULL_FOR_NONE.get, elabel, elabel),  # None -> null
-        ))
+        m = len(self.edge_ids())
+        eu, ev, eflag, elabel = self.eu, self.ev, self.eflag, self.elabel
+        template = ",\n".join([_EDGE_RECORD] * min(m, _BLOCK))
         out.write(_HEAD % (self.mode, self.n) + "[")
-        out.write("\n  ]" if _write_joined(out, records, ",\n", "\n") else "]")
+        for s in range(0, m, _BLOCK):
+            t = s + _BLOCK
+            if t > m:  # the last, short block
+                template = ",\n".join([_EDGE_RECORD] * (m - s))
+            labels = elabel[s:t]
+            if None in labels:
+                labels = map(_NULL_FOR_NONE.get, labels, labels)  # None -> null
+            out.write(",\n" if s else "\n")
+            out.write(template % tuple(chain.from_iterable(zip(
+                range(s, t), eu[s:t], ev[s:t],
+                map(_FLAG_NAMES.__getitem__, eflag[s:t]), labels))))
+        out.write("\n  ]" if m else "]")
         cyc = self.central_cycle
         out.write(_TAIL % (
             "[\n    %s\n  ]" % ",\n    ".join(map(str, cyc)) if cyc else "null"))
@@ -576,13 +636,12 @@ class LabeledMultigraph:
         return buf.getvalue()
 
 
-def _write_joined(out: TextIO, items: Iterator[str], sep: str, lead: str = "") -> bool:
-    """Write ``lead + sep.join(items)`` to ``out``, joining ``_BLOCK`` items
-    at a time, unless ``items`` is empty; returns whether it wrote.  No
-    item may be the empty string."""
+def _write_joined(out: TextIO, items: Iterator[str], sep: str) -> None:
+    """Write ``sep.join(items)`` to ``out``, joining ``_BLOCK`` items at a
+    time.  No item may be the empty string."""
     wrote = False
     for block in iter(lambda: sep.join(islice(items, _BLOCK)), ""):
-        out.write(sep if wrote else lead)
+        if wrote:
+            out.write(sep)
         out.write(block)
         wrote = True
-    return wrote

@@ -12,8 +12,9 @@ connected proper labeling exactly when
 The builders realize each regime with two all-edge-covering spanning
 trees sharing 0, 1, or 2 edges.  Every builder follows the same shape:
 descend the sequence by recording constant-size reduction steps onto a
-plan, materialize a small frozen base realization, then replay the plan
-in reverse against the degree-bucketed graph store.  All passes are
+plan (a run of equal steps, such as lay-offs of 2s, as one entry),
+materialize a small frozen base realization, then replay the plan in
+reverse against the degree-bucketed graph store.  All passes are
 linear in n + m (bucket operations amortized).
 """
 
@@ -181,6 +182,26 @@ def _attach_flagged(
     return w
 
 
+def _lay_off_min(cur: DegreeSequence, limit: int) -> tuple:
+    """Lay off the minimum entry of ``cur``, or a run of up to ``limit``
+    2s in one ``lay_off_two_run``; returns the plan step that
+    :func:`_replay_lay_off` replays."""
+    x, k = cur.lay_off_two_run(limit)
+    if k:
+        return ("pairs", x, k)
+    step = ("attach", _top_after_min_removal(cur, cur.tail.value))
+    lay_off_graphical(cur)
+    return step
+
+
+def _replay_lay_off(g: LabeledMultigraph, step: tuple) -> None:
+    """Attach the vertices a :func:`_lay_off_min` step laid off."""
+    if step[0] == "pairs":
+        g.attach_pair_run(step[1], step[2])
+    else:
+        _attach_flagged(g, [v for v, c in step[1] for _ in range(c)])
+
+
 def _debug_seq(cur: DegreeSequence, mode: str) -> None:
     if debug_asserts_enabled():
         cur._check_consistency()
@@ -199,6 +220,11 @@ def build_two_edst(d: DegreeSequence, mode: str = "simple") -> LabeledMultigraph
     both modes, sum >= 4(n-1) and minimum degree >= 2.  Simple mode:
     graphical (which forces n >= 4).  Multi mode: multigraphical, n >= 2.
     """
+    return _build_two_edst(d, mode).finish()
+
+
+def _build_two_edst(d: DegreeSequence, mode: str) -> LabeledMultigraph:
+    """:func:`build_two_edst` without the closing ``finish()``."""
     n = d.n
     _require(_is_graphical_for(d, mode), _SEQUENCE_RULE)
     _require(d.total >= 4 * (n - 1), "sum must be at least 4(n-1)")
@@ -248,7 +274,7 @@ def build_two_edst(d: DegreeSequence, mode: str = "simple") -> LabeledMultigraph
             u = g._bucket_pop_valid(a)
             v = g._bucket_pop_valid(b, exclude={u})
             g.add_edge(u, v, FLAG_NONE)
-    return g.finish()
+    return g
 
 
 def _two_edst_descent(cur: DegreeSequence, mode: str) -> LabeledMultigraph:
@@ -258,8 +284,8 @@ def _two_edst_descent(cur: DegreeSequence, mode: str) -> LabeledMultigraph:
     store takes ``mode``, so the multi descent's graphical remainder is
     built here too.
     """
-    # The plan holds (old maximum, count) runs of degree-3 insertions and
-    # ("attach", targets) tuples for lay-off replays.
+    # The plan holds ("split", old maximum, count) runs of degree-3
+    # insertions and the lay-off steps of _lay_off_min.
     plan: List[tuple] = []
     plan_append = plan.append
     dbg = debug_asserts_enabled()
@@ -273,13 +299,11 @@ def _two_edst_descent(cur: DegreeSequence, mode: str) -> LabeledMultigraph:
             # The sum stays tight, so the steps run on while the maximum
             # and the 3s last.
             d1, k = cur.split_max_and_drop_min_run(nn - 4)
-            plan_append((d1, k))
+            plan_append(("split", d1, k))
             total -= 4 * k
             nn -= k
         else:
-            dn = cur.tail.value
-            plan_append(("attach", _top_after_min_removal(cur, dn)))
-            lay_off_graphical(cur)
+            plan_append(_lay_off_min(cur, nn - 4))
             total = cur.total
             nn = cur.n
         if dbg:
@@ -294,15 +318,13 @@ def _two_edst_descent(cur: DegreeSequence, mode: str) -> LabeledMultigraph:
     plan.reverse()
     run: List[int] = []
     for step in plan:
-        if step[0] != "attach":
-            d1, k = step
-            run += [d1] * k
+        if step[0] == "split":
+            run += [step[1]] * step[2]
             continue
         if run:
             t2_pair = g.replay_degree3_insertions(run, t2_pair)
             run.clear()
-        targets = [v for v, c in step[1] for _ in range(c)]
-        _attach_flagged(g, targets)
+        _replay_lay_off(g, step)
     if run:
         t2_pair = g.replay_degree3_insertions(run, t2_pair)
     return g
@@ -408,8 +430,10 @@ def build_one_shared(d: DegreeSequence, mode: str = "simple") -> LabeledMultigra
         cur = d.copy()
         cur.remove_min_entry()
         _debug_seq(cur, "multi")
-        g = build_two_edst(cur, "multi")
-        split = g.eflag.index(FLAG_T1)
+        # Unfinished, so the one finish() below compacts both the
+        # descent's dead slots and the split edge.
+        g = _build_two_edst(cur, "multi")
+        split = g.eflag.index(FLAG_T1)  # dead slots hold _DEAD, not FLAG_T1
         u, v = g.endpoints(split)
         g.remove_edge(split)
         w = g.add_vertex()
@@ -419,17 +443,16 @@ def build_one_shared(d: DegreeSequence, mode: str = "simple") -> LabeledMultigra
     # Lay off the 2s (simple mode only; the multi boundary left here has
     # minimum 3 and is graphical), then build a degree-3 base.
     cur = d.copy()
-    plan: List[Tuple[int, int]] = []
+    plan: List[tuple] = []
     while cur.min_degree == 2 and cur.n > 3:
-        plan.append((cur.max_degree - 1, cur.degree_at(2) - 1))
-        lay_off_graphical(cur)
+        plan.append(_lay_off_min(cur, cur.n - 3))
         _debug_seq(cur, "simple")
     if cur.n == 3:
         g = bases.instantiate(bases.TRIANGLE_ONE_SHARED, mode)
     else:
         g = _one_shared_deg3(cur, mode)
-    for a, b in reversed(plan):
-        _attach_flagged(g, [a, b])
+    for step in reversed(plan):
+        _replay_lay_off(g, step)
     return g
 
 
@@ -496,10 +519,9 @@ def build_c4_pivotable(d: DegreeSequence, mode: str = "simple") -> LabeledMultig
         g.central_cycle = (hub, x, y, z)
         return g
     cur = d.copy()
-    plan: List[Tuple[int, int]] = []
+    plan: List[tuple] = []
     while cur.min_degree == 2 and cur.n > 4:
-        plan.append((cur.max_degree - 1, cur.degree_at(2) - 1))
-        lay_off_graphical(cur)
+        plan.append(_lay_off_min(cur, cur.n - 4))
         _debug_seq(cur, "simple")
         if debug_asserts_enabled():
             assert cur.max_degree < cur.n - 1, cur
@@ -526,8 +548,8 @@ def build_c4_pivotable(d: DegreeSequence, mode: str = "simple") -> LabeledMultig
         g = build_two_edst(red, mode)
         hub = g.find_vertex_with_degree(d1 - 2)
         _attach_c4_gadget(g, hub)
-    for a, b in reversed(plan):
-        _attach_flagged(g, [a, b])
+    for step in reversed(plan):
+        _replay_lay_off(g, step)
     return g.finish()
 
 

@@ -182,6 +182,58 @@ def test_split_max_and_drop_min_run_matches_single_steps(values, limit):
     )
 
 
+def check_two_run_against_single_steps(values, limit):
+    """``lay_off_two_run(limit)`` equals its k ``lay_off_graphical`` steps,
+    each joining a 2 to two entries of the run's maximum; returns k."""
+    run = DegreeSequence(values)
+    steps = DegreeSequence(values)
+    target, k = run.lay_off_two_run(limit)
+    run._check_consistency()
+    for _ in range(k):
+        assert steps.min_degree == 2
+        assert steps.max_degree == steps.degree_at(2) == target + 1 >= 4
+        lay_off_graphical(steps)
+    assert list(run.iter_buckets()) == list(steps.iter_buckets())
+    assert (run.n, run.total) == (steps.n, steps.total)
+    # The run is maximal: one more step would see another maximum or no
+    # 2, or the limit was reached.
+    assert k == limit or steps.n < 2 or steps.min_degree != 2 or not (
+        steps.max_degree == steps.degree_at(2) >= 4
+        and (k == 0 or steps.max_degree == target + 1))
+    return k
+
+
+@pytest.mark.parametrize("values, limit, k", [
+    ([6] * 5 + [4] + [2] * 6, 10, 2),  # odd head count; 5 opens a bucket
+    ([6] * 4 + [5] * 3 + [2] * 5, 10, 2),  # 5 merges into the next bucket
+    ([5] * 8 + [2] * 2, 10, 2),  # fewer 2s than head pairs
+    ([5] * 8 + [2] * 6, 3, 3),  # the limit binds
+    ([4] * 4 + [2] * 3, 10, 2),  # the head empties into a new bucket of 3s
+    ([5] * 6 + [3] + [2] * 2, 10, 2),  # the 2s run out; 3 becomes the minimum
+    ([4] * 6 + [3] * 2 + [2] * 4, 10, 3),  # head empties, 3s merge
+    ([5] + [4] * 3 + [2] * 3, 10, 0),  # one maximum: no run
+    ([3] * 6 + [2] * 3, 10, 0),  # maximum 3: the 2s it makes would meet the 2s
+    ([4] * 4 + [3] * 2, 10, 0),  # no 2
+    ([2] * 4, 10, 0),
+    ([], 10, 0),
+])
+def test_lay_off_two_run_matches_single_steps(values, limit, k):
+    assert check_two_run_against_single_steps(values, limit) == k
+
+
+@given(
+    st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=20),
+    st.integers(min_value=1, max_value=12),
+)
+def test_lay_off_two_run_matches_single_steps_on_random_sequences(values, limit):
+    check_two_run_against_single_steps(values, limit)
+
+
+def test_lay_off_two_run_rejects_an_empty_limit():
+    with pytest.raises(ValueError):
+        DegreeSequence([4, 4, 2]).lay_off_two_run(0)
+
+
 @given(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=12))
 def test_mutations_keep_consistency(values):
     d = DegreeSequence(values)

@@ -313,6 +313,73 @@ def test_replay_c4_merges_matches_single_steps(mode):
             assert _valid_pop_order(batched, deg) == _valid_pop_order(stepped, deg), (k, deg)
 
 
+def attach_flagged(g, x):
+    """Reference step for ``attach_pair_run``: one vertex joined to two
+    vertices of degree x, by a tree-1 and then a tree-2 edge."""
+    _, (e1, e2) = g.attach_vertex([x, x])
+    g.eflag[e1] = FLAG_T1
+    g.eflag[e2] = FLAG_T2
+
+
+def _with_repeated_bucket_entries():
+    """A built graph whose degree-4 bucket lists some vertices twice
+    while they still have degree 4, over stale entries."""
+    g = realize_tc(DegreeSequence(LARGE_FAMILIES["gate"](60)), "simple").graph
+    for e in (0, 5, 9):
+        u, v = g.endpoints(e)
+        g.remove_edge(e)
+        g.add_edge(u, v, FLAG_NONE)
+    return g
+
+
+PAIR_RUN_STARTS = {
+    "gate": lambda: realize_tc(DegreeSequence(LARGE_FAMILIES["gate"](60)), "simple").graph,
+    "many-distinct": lambda: realize_tc(
+        DegreeSequence(LARGE_FAMILIES["many-distinct"](200)), "simple").graph,
+    "c4-multi": lambda: realize_tc(DegreeSequence(LARGE_FAMILIES["c4"](40)), "multi").graph,
+    "repeated-entries": _with_repeated_bucket_entries,
+}
+
+
+@pytest.mark.parametrize("start", sorted(PAIR_RUN_STARTS))
+def test_attach_pair_run_matches_single_steps(start):
+    make = PAIR_RUN_STARTS[start]
+    degrees = make().vdeg
+    for x in sorted(set(degrees)):
+        if x < 3:
+            continue
+        for k in range(degrees.count(x) // 2 + 1):
+            batched, stepped = make(), make()
+            batched.attach_pair_run(x, k)
+            for _ in range(k):
+                attach_flagged(stepped, x)
+            for name in ("eu", "ev", "eflag", "elabel", "vdeg", "_dead"):
+                assert getattr(batched, name) == getattr(stepped, name), (x, k, name)
+            assert batched.validate() and stepped.validate(), (x, k)
+            for deg in set(stepped.vdeg):
+                assert _valid_pop_order(batched, deg) == _valid_pop_order(stepped, deg), (
+                    x, k, deg)
+
+
+def test_attach_pair_run_failure_keeps_the_steps_done():
+    # Five vertices of degree 4 make two whole steps; the third step's
+    # one target goes back to its bucket.
+    g = build_fixed("multi", 5, [(0, 1, FLAG_T1), (1, 2, FLAG_T2), (2, 3, FLAG_NONE),
+                                 (3, 4, FLAG_NONE), (4, 0, FLAG_NONE)] * 2)
+    stepped = build_fixed("multi", 5, [(0, 1, FLAG_T1), (1, 2, FLAG_T2), (2, 3, FLAG_NONE),
+                                       (3, 4, FLAG_NONE), (4, 0, FLAG_NONE)] * 2)
+    with pytest.raises(GraphError):
+        g.attach_pair_run(4, 3)
+    for _ in range(2):
+        attach_flagged(stepped, 4)
+    for name in ("eu", "ev", "eflag", "elabel", "vdeg"):
+        assert getattr(g, name) == getattr(stepped, name), name
+    assert g.validate()
+    assert _valid_pop_order(g, 4) == _valid_pop_order(stepped, 4)
+    with pytest.raises(GraphError):
+        g.attach_pair_run(2, 1)  # new vertices would meet their own bucket
+
+
 def _k4_two_trees():
     return build_fixed("simple", 4,
                        [(0, 1, FLAG_T1), (1, 2, FLAG_T1), (2, 3, FLAG_T1),
@@ -515,17 +582,20 @@ def dot_reference(g):
 @pytest.mark.parametrize("m", [0, 1, _BLOCK - 7, _BLOCK - 1, _BLOCK, _BLOCK + 1,
                                2 * _BLOCK + 1])
 def test_writers_match_the_references_at_block_boundaries(m):
-    # m live edges with a dead slot after each, a few of them unlabeled.
-    g = build_fixed("multi", 5, [(e % 4, (e + 1) % 4 + (e % 3 == 0), e % 4)
-                                 for e in range(2 * m)],
-                    central_cycle=(0, 1, 2, 3))
-    for e in range(2 * m):
-        g.elabel[e] = None if e % 10 == 0 else e // 2 + 1
-    for e in range(1, 2 * m, 2):
-        g.remove_edge(e)
-    assert g.finish().num_edges == m
-    assert written(g.write_json) == g.to_json() == indented(g)
-    assert written(g.write_dot) == g.to_dot() == dot_reference(g)
+    # m live edges with a dead slot after each, all labeled, then with a
+    # few of them unlabeled.
+    for unlabeled in (False, True):
+        g = build_fixed("multi", 5, [(e % 4, (e + 1) % 4 + (e % 3 == 0), e % 4)
+                                     for e in range(2 * m)],
+                        central_cycle=(0, 1, 2, 3))
+        for e in range(2 * m):
+            g.elabel[e] = None if unlabeled and e % 10 == 0 else e // 2 + 1
+        for e in range(1, 2 * m, 2):
+            g.remove_edge(e)
+        assert g.finish().num_edges == m
+        assert (None in g.elabel) == (unlabeled and m > 0)
+        assert written(g.write_json) == g.to_json() == indented(g), unlabeled
+        assert written(g.write_dot) == g.to_dot() == dot_reference(g), unlabeled
 
 
 def test_writers_hold_one_block_at_a_time():

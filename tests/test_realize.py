@@ -1,6 +1,7 @@
 """Decision procedure and the constructive realization routes."""
 
 import gc
+import math
 import time
 
 import pytest
@@ -25,7 +26,7 @@ from tcreal.verify import (
     validate_certificate,
 )
 
-from conftest import build_fixed, live_incidence, to_json_dict
+from conftest import LARGE_FAMILIES, build_fixed, live_incidence, to_json_dict
 
 
 def seq(*values):
@@ -329,6 +330,27 @@ def test_nonstrict_multi_peel_scales_linearly():
             assert res.realizable
     assert times[40_000] / times[20_000] <= 2.6, times
     assert times[80_000] / times[40_000] <= 2.6, times
+
+
+def test_many_distinct_lays_off_its_2s_in_runs(monkeypatch):
+    # A count gate, not a timing gate: the descent of the many-distinct
+    # family (half of its entries 2s) takes one lay-off step per run of
+    # 2s, so the steps grow with its ~0.7 sqrt(n) distinct degrees, not
+    # with its n/2 entries of 2.  Each lay-off step calls
+    # lay_off_two_run once, whether or not a run applies.
+    calls = []
+    run = DegreeSequence.lay_off_two_run
+
+    def counted(self, limit):
+        calls.append(limit)
+        return run(self, limit)
+
+    monkeypatch.setattr(DegreeSequence, "lay_off_two_run", counted)
+    for n in (4_000, 64_000):
+        calls.clear()
+        build_one_shared(DegreeSequence(LARGE_FAMILIES["many-distinct"](n)))
+        distinct = round(0.7 * math.sqrt(n))
+        assert distinct <= len(calls) <= 2 * distinct + 10, (n, len(calls))
 
 
 def _connected(g):
