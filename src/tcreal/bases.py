@@ -26,8 +26,6 @@ __all__ = [
     "C4_BASE",
     "TRIANGLE_ONE_SHARED",
     "MULTI_22",
-    "MULTI_332",
-    "MULTI_422",
     "ONE_SHARED_DEG3",
     "C4_ALL3_8",
     "C4_GADGET_EDGES",
@@ -69,24 +67,6 @@ MULTI_22 = {
     "edges": [(0, 1), (0, 1)],
     "tree1": [0],
     "tree2": [1],
-    "shared": [],
-}
-
-# Double edge 0-1 plus the path 0-2-1: edge-disjoint spanning trees.
-MULTI_332 = {
-    "n": 3,
-    "edges": [(0, 1), (0, 1), (0, 2), (1, 2)],
-    "tree1": [0, 2],
-    "tree2": [1, 3],
-    "shared": [],
-}
-
-# Double edges 0-1 and 0-2: each tree takes one copy of each.
-MULTI_422 = {
-    "n": 3,
-    "edges": [(0, 1), (0, 1), (0, 2), (0, 2)],
-    "tree1": [0, 2],
-    "tree2": [1, 3],
     "shared": [],
 }
 

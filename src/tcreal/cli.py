@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, TextIO
 
 from .degseq import DegreeSequence, _shown, parse_sequence
 from .graphstore import GraphError, LabeledMultigraph
-from .realize import Reason, check_tc_realizable, realize_tc
+from .realize import Decision, Reason, check_tc_realizable, realize_tc
 from .verify import (
     certificate_violation,
     enumerate_sequences,
@@ -89,10 +89,10 @@ def _print_report(d: DegreeSequence, report: Dict, fmt: str, out: TextIO) -> Non
     out.write("  ".join(str(p) for p in parts) + "\n")
 
 
-def _base_report(d: DegreeSequence, mode: str) -> Dict:
-    decision = check_tc_realizable(d, mode)
+def _base_report(d: DegreeSequence, decision: Decision) -> Dict:
+    """The fields every ``check`` and ``build`` report starts with."""
     return {
-        "mode": mode,
+        "mode": decision.mode,
         "realizable": decision.realizable,
         "reason": decision.reason.value,
         "n": d.n,
@@ -105,7 +105,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     worst = EXIT_OK
     for d in seqs:
         t0 = time.perf_counter()
-        report = _base_report(d, args.mode)
+        report = _base_report(d, check_tc_realizable(d, args.mode))
         report["ms"] = round(1000 * (time.perf_counter() - t0), 3)
         _print_report(d, report, args.format, sys.stdout)
         if not report["realizable"]:
@@ -121,15 +121,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     d = seqs[0]
     t0 = time.perf_counter()
     result = realize_tc(d, args.mode)
-    elapsed = round(1000 * (time.perf_counter() - t0), 3)
-    report = {
-        "mode": args.mode,
-        "realizable": result.realizable,
-        "reason": result.decision.reason.value,
-        "n": d.n,
-        "m": d.total // 2,
-        "ms": elapsed,
-    }
+    report = _base_report(d, result.decision)
+    report["ms"] = round(1000 * (time.perf_counter() - t0), 3)
     if not result.realizable:
         _print_report(d, report, "text" if args.format == "dot" else args.format,
                       sys.stdout)

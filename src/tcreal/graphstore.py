@@ -16,16 +16,11 @@ dead slots, keeping the edge order.  Every graph the library hands out
 is finished: readers call ``edge_ids()``, which raises ``GraphError``
 otherwise, and index the per-edge lists densely.
 
-In simple mode an endpoint-pair index rejects parallel edges; it is
-built in one O(n + m) pass by the first ``add_edge`` (which
-``from_json`` uses for every edge), and ``add_edge`` and ``remove_edge``
-keep it current.  The trusted bulk primitives skip it:
-``attach_vertex``, its run form ``attach_pair_run``, the degree-3
-insertions and the central-4-cycle merges (``replay_c4_merges``) add
-only edges ending at a brand-new vertex, which cannot be parallel, so
-they drop the index and the next ``add_edge`` rebuilds it.  The
-constructions switch between the two kinds of addition a bounded number
-of times, so the rebuilds stay linear.
+Simple mode forbids parallel edges, but only untrusted input is checked
+for them as it comes in: ``from_json_dict`` rejects the first repeated
+endpoint pair, and ``validate()`` counts them.  The constructions add
+only edges that cannot be parallel (to a brand-new vertex, or between
+two components), and the golden corpus checks their outputs.
 """
 
 from __future__ import annotations
@@ -113,9 +108,6 @@ class LabeledMultigraph:
         self._dead = 0  # slots flagged _DEAD
         self.vdeg: List[int] = []
         self._buckets: Dict[int, List[int]] = {}
-        # Simple mode: packed endpoint pairs, built on first use; None
-        # until then or once dropped.
-        self._pairs: Optional[Set[int]] = None
         self.central_cycle: Optional[Tuple[int, int, int, int]] = None
         # Set by the all-3 boundary construction; see Certificate.
         self.matching_pairs: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
@@ -147,13 +139,6 @@ class LabeledMultigraph:
     def degrees(self) -> List[int]:
         return list(self.vdeg)
 
-    # -- on-demand pair index ---------------------------------------------------
-
-    def _build_pairs(self) -> Set[int]:
-        """Packed endpoint pairs of the live edges, in one pass."""
-        live = bytes(self.eflag).translate(_LIVE)
-        return set(map(_pair_key, compress(self.eu, live), compress(self.ev, live)))
-
     # -- vertex / edge mutation ----------------------------------------------
 
     def add_vertex(self) -> int:
@@ -175,19 +160,10 @@ class LabeledMultigraph:
         n = len(self.vdeg)
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"unknown endpoint in ({u}, {v})")
-        if self.mode == "simple":
-            pairs = self._pairs
-            if pairs is None:
-                pairs = self._pairs = self._build_pairs()
-            key = _pair_key(u, v)
-            if key in pairs:
-                raise GraphError(f"parallel edge ({u}, {v}) in simple mode")
-            pairs.add(key)
         return self._append_edge(u, v, flag)
 
     def _append_edge(self, u: int, v: int, flag: int) -> int:
-        """Add edge u-v without the parallel-edge check; the caller
-        guarantees it, or drops the pair index."""
+        """Add edge u-v; the caller guarantees u != v, both in range."""
         e = len(self.eu)
         self.eu.append(u)
         self.ev.append(v)
@@ -215,8 +191,6 @@ class LabeledMultigraph:
         u, v = self.endpoints(e)
         self.eflag[e] = _DEAD
         self._dead += 1
-        if self._pairs is not None:
-            self._pairs.discard(_pair_key(u, v))
         for x in (u, v):
             self.vdeg[x] -= 1
             self._bucket_push(self.vdeg[x], x)
@@ -241,7 +215,6 @@ class LabeledMultigraph:
         eu, ev = self.eu, self.ev
         eflag, vdeg = self.eflag, self.vdeg
         buckets = self._buckets
-        self._pairs = None
         w0 = len(vdeg)
         e0 = len(eu)
         new_vertices = range(w0, w0 + k)
@@ -325,7 +298,6 @@ class LabeledMultigraph:
         eu, ev = self.eu, self.ev
         eflag, vdeg = self.eflag, self.vdeg
         buckets = self._buckets
-        self._pairs = None
         w0 = len(vdeg)
         e = len(eu)
         new_vertices = range(w0, w0 + k)
@@ -401,7 +373,6 @@ class LabeledMultigraph:
             vdeg[u] = x
             bucket.append(u)
         done = len(targets) // 2
-        self._pairs = None
         w0 = len(vdeg)
         new_vertices = range(w0, w0 + done)
         self.eu += targets
@@ -465,10 +436,8 @@ class LabeledMultigraph:
         vertex moves it to the next bucket before the following lookup.
         Every new edge ends at the new vertex and, unless repeats are
         allowed (multi mode only), the targets are distinct, so no edge
-        can be parallel to another and the pair index is dropped rather
-        than updated.
+        can be parallel to another.
         """
-        self._pairs = None
         w = self.add_vertex()
         chosen: Set[int] = {w}
         new_edges: List[int] = []
@@ -573,7 +542,9 @@ class LabeledMultigraph:
     def from_json_dict(cls, data: dict) -> "LabeledMultigraph":
         """Load an untrusted document.  Numbers are taken only as exact
         ints (never ``bool``, float or string) in range; anything else
-        raises ``GraphError`` rather than being coerced."""
+        raises ``GraphError`` rather than being coerced.  In simple mode
+        the first edge repeating an endpoint pair, either way round, is
+        rejected."""
         try:
             g = cls(data["mode"])
             n = data["n"]
@@ -581,12 +552,18 @@ class LabeledMultigraph:
                 raise GraphError(f"n must be a non-negative integer, got {n!r}")
             for _ in range(n):
                 g.add_vertex()
+            pairs: Optional[Set[int]] = set() if g.mode == "simple" else None
             for rec in data["edges"]:
                 u, v = rec["u"], rec["v"]
                 if not (type(u) is int and type(v) is int
                         and 0 <= u < n and 0 <= v < n):
                     raise GraphError(f"edge endpoints must be integers in [0, {n}): {rec}")
                 e = g.add_edge(u, v, _FLAG_VALUES[rec["tree"]])
+                if pairs is not None:
+                    key = _pair_key(u, v)
+                    if key in pairs:
+                        raise GraphError(f"parallel edge ({u}, {v}) in simple mode")
+                    pairs.add(key)
                 lab = rec.get("label")
                 if lab is not None:
                     if type(lab) is not int or lab < 1:

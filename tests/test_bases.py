@@ -179,8 +179,6 @@ def fixture_graphs():
     yield "c4", bases.C4_BASE, "simple"
     yield "triangle", bases.TRIANGLE_ONE_SHARED, "simple"
     yield "multi22", bases.MULTI_22, "multi"
-    yield "multi332", bases.MULTI_332, "multi"
-    yield "multi422", bases.MULTI_422, "multi"
     for n, fx in bases.ONE_SHARED_DEG3.items():
         yield f"one_shared_{n}", fx, "simple"
     yield "c4_all3_8", bases.C4_ALL3_8, "simple"
@@ -203,8 +201,6 @@ def test_fixture_degree_multisets():
         "c4": [2, 2, 2, 2],
         "triangle": [2, 2, 2],
         "multi22": [2, 2],
-        "multi332": [3, 3, 2],
-        "multi422": [4, 2, 2],
         "one_shared_6": [3, 3, 3, 3, 3, 3],
         "one_shared_7": [4, 3, 3, 3, 3, 3, 3],
         "one_shared_8": [5, 3, 3, 3, 3, 3, 3, 3],

@@ -359,6 +359,18 @@ def test_verify_rejects_coerced_values(capsys, tmp_path, doc):
     assert err.startswith("cannot load graph: ")
 
 
+@pytest.mark.parametrize("mode, expected", [
+    ("simple", (2, "", "cannot load graph: parallel edge (1, 0) in simple mode\n")),
+    ("multi", (0, "OK: labeling is simple, proper, and temporally connected\n", "")),
+], ids=["simple", "multi"])
+def test_verify_rejects_parallel_edges_in_simple_mode_only(capsys, tmp_path, mode, expected):
+    doc = triangle_document([1, 2, 3], endpoints=((0, 1), (1, 2), (1, 0)))
+    doc["mode"] = mode
+    path = tmp_path / "parallel.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(path)) == expected
+
+
 def test_verify_rejects_deeply_nested_json(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000 + "]" * 200_000)

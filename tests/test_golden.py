@@ -9,6 +9,9 @@ keeps the digest; a change that alters them on purpose updates
 finished graph in id order.  Edge ids themselves are left out, so
 renumbering the edges without reordering them (as ``finish()`` does
 when it drops the builder's dead slots) keeps the digest.
+
+The builders add edges without a parallel-edge check, so each
+simple-mode case is also checked here for a repeated endpoint pair.
 """
 
 import hashlib
@@ -42,6 +45,9 @@ def case_record(mode, d):
     if g is None:
         return (mode, d.entries, res.decision.reason.value)
     edges = [(g.eu[e], g.ev[e], g.eflag[e], g.elabel[e]) for e in g.edge_ids()]
+    if mode == "simple":
+        pairs = {(min(u, v), max(u, v)) for u, v, _, _ in edges}
+        assert len(pairs) == len(edges), f"parallel edge in {d.entries}"
     return (mode, d.entries, res.decision.reason.value,
             res.labeling.max_label, g.central_cycle, edges)
 

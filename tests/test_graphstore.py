@@ -74,12 +74,11 @@ def test_unknown_endpoint_rejected():
 
 
 def test_parallel_edges_by_mode():
-    g = LabeledMultigraph("simple")
-    g.add_vertex()
-    g.add_vertex()
-    g.add_edge(0, 1)
-    with pytest.raises(GraphError):
-        g.add_edge(1, 0)
+    # Only untrusted input is checked as it comes in (see the loader
+    # tests); validate() still counts parallel edges in simple mode.
+    g = triangle()
+    g.add_edge(1, 0)
+    assert not g.validate()
     m = LabeledMultigraph("multi")
     m.add_vertex()
     m.add_vertex()
@@ -98,9 +97,8 @@ def test_remove_edge_then_re_add():
         g.endpoints(e)
     with pytest.raises(GraphError):
         g.remove_edge(e)
-    f = g.add_edge(0, 1)  # the slot is free again in the pair index
+    f = g.add_edge(0, 1)
     assert g.validate()
-    # attach_vertex drops the pair index; its rebuild skips dead slots.
     g.remove_edge(f)
     g.attach_vertex([1])
     g.add_edge(0, 1)
@@ -194,7 +192,6 @@ def replace_edge_with_degree3_vertex(g, u, pick):
     a, b = g.endpoints(pick)
     if u == a or u == b:
         raise GraphError("replacement edge must avoid the tree-1 anchor")
-    g._pairs = None
     g.eflag[pick] = _DEAD
     g._dead += 1
     vdeg = g.vdeg
@@ -395,40 +392,6 @@ def test_replay_failure_keeps_the_steps_done():
     assert g.num_edges == 10
     assert g.validate()
     assert sorted(g.degrees()) == [3, 3, 3, 3, 4, 4]
-
-
-def _assert_pair_index_complete(g):
-    live = [(u, v) for u, v, f in zip(g.eu, g.ev, g.eflag) if f != _DEAD]
-    for u, v in live:
-        for a, b in ((u, v), (v, u)):
-            with pytest.raises(GraphError):
-                g.add_edge(a, b)
-
-
-def test_indexes_built_on_first_use_after_realize():
-    # The construction does not fill the pair index; it is built when
-    # first used and must then be complete.
-    for seq in ([4] * 30 + [2, 2], [4] * 26 + [2] * 4, [5, 4, 4, 4, 3, 2],
-                [6, 5, 4, 4, 3, 3, 3, 2]):
-        g = realize_tc(DegreeSequence(seq), "simple").graph
-        _assert_pair_index_complete(g)
-        e = g.edge_ids()[0]
-        u, v = g.endpoints(e)
-        g.remove_edge(e)
-        g.add_edge(u, v)  # the removed pair is free again
-        assert g.validate()
-
-
-def test_indexes_built_before_trusted_insertions_are_rebuilt():
-    g = _k4_two_trees()
-    g.remove_edge(0)
-    g.add_edge(0, 1, FLAG_T1)  # the pair index now exists
-    g.replay_degree3_insertions([4, 4, 4], (3, 5))
-    w, _ = g.attach_vertex([3, 3])
-    replace_edge_with_degree3_vertex(g, w, next(
-        e for e in g.finish().edge_ids() if w not in g.endpoints(e)))
-    _assert_pair_index_complete(g)
-    assert g.validate()
 
 
 # -- finishing ----------------------------------------------------------------
@@ -671,6 +634,26 @@ def test_from_json_rejects_bad_documents():
             "edges": [{"id": 0, "u": 0, "v": 1, "tree": "none", "label": 0}],
             "central_cycle": None,
         }))
+
+
+def path_document(mode, endpoints):
+    return {
+        "mode": mode, "n": 3,
+        "edges": [{"id": i, "u": u, "v": v, "tree": "none", "label": i + 1}
+                  for i, (u, v) in enumerate(endpoints)],
+        "central_cycle": None,
+    }
+
+
+def test_from_json_rejects_the_first_parallel_edge_in_simple_mode():
+    for endpoints, repeat in ([((0, 1), (1, 2), (1, 0)), "(1, 0)"],
+                              [((0, 1), (1, 2), (1, 2), (1, 0)), "(1, 2)"]):
+        with pytest.raises(GraphError) as info:
+            LabeledMultigraph.from_json_dict(path_document("simple", endpoints))
+        assert str(info.value) == f"parallel edge {repeat} in simple mode"
+        g = LabeledMultigraph.from_json_dict(path_document("multi", endpoints))
+        assert (g.eu, g.ev) == tuple(map(list, zip(*endpoints)))
+        assert g.validate()
 
 
 def square_document(**changes):
