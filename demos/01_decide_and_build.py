@@ -40,7 +40,8 @@ def main() -> None:
             continue
 
         result = realize_tc(d, mode)
-        g, cert, lab = result.graph, result.certificate, result.labeling
+        g, lab = result.graph, result.labeling
+        cert = g.certificate_from_flags()
         print(f"  built {g.n} vertices, {g.num_edges} edges, "
               f"max label {lab.max_label} (bound 2n+2 = {2 * d.n + 2})")
         print(f"  certificate: |T1|={len(cert.tree1)} |T2|={len(cert.tree2)} "

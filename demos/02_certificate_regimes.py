@@ -30,7 +30,7 @@ def main() -> None:
             d = DegreeSequence(tup)
             n, m = d.n, d.total // 2
             res = realize_tc(d, "simple")
-            cert = res.certificate
+            cert = res.graph.certificate_from_flags()
             line = (f"  {tuple(tup)!r}: n={n} m={m} "
                     f"shared={len(cert.shared)}")
             if cert.central_cycle is not None:

@@ -24,7 +24,7 @@ import time
 from typing import Dict, List, Optional, Sequence, TextIO
 
 from .degseq import DegreeSequence, _shown, parse_sequence
-from .graphstore import GraphError, LabeledMultigraph
+from .graphstore import FLAG_BOTH, GraphError, LabeledMultigraph
 from .realize import Decision, Reason, check_tc_realizable, realize_tc
 from .verify import (
     certificate_violation,
@@ -127,14 +127,14 @@ def cmd_build(args: argparse.Namespace) -> int:
         _print_report(d, report, "text" if args.format == "dot" else args.format,
                       sys.stdout)
         return EXIT_NO
-    g, cert, labeling = result.graph, result.certificate, result.labeling
-    assert g is not None and cert is not None and labeling is not None
+    g, labeling = result.graph, result.labeling
+    assert g is not None and labeling is not None
     if not args.no_verify:
         reason = (
             simplicity_violation(g)
             or properness_violation(g)
             or tc_violation(g)
-            or certificate_violation(g, cert)
+            or certificate_violation(g)
         )
         if reason is not None:
             print(f"internal error: self-verification failed: {reason}",
@@ -142,7 +142,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             return EXIT_INTERNAL
     report.update(
         max_label=labeling.max_label,
-        shared_edges=len(cert.shared),
+        shared_edges=g.eflag.count(FLAG_BOTH),
         certificate=_CERT_KIND[result.decision.reason],
     )
     write = g.write_dot if args.format == "dot" else g.write_json
@@ -173,6 +173,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("FAIL: ", simplicity_violation),
         ("FAIL properness: ", properness_violation),
         ("FAIL temporal connectivity: ", tc_violation),
+        ("FAIL certificate: ", certificate_violation),
     ):
         reason = check(g)
         if reason is not None:

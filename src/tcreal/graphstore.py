@@ -80,7 +80,8 @@ class GraphError(ValueError):
 
 @dataclass
 class Certificate:
-    """Structural witness: two spanning trees plus the shared-edge core.
+    """A read-only view, as edge-id sets, of the certificate a graph's
+    tree flags and core hold: two spanning trees plus the shared core.
 
     ``matching_pairs`` is construction-internal bookkeeping for the
     boundary induction; each pair holds one tree-1 edge and one tree-2
@@ -488,17 +489,12 @@ class LabeledMultigraph:
         return self
 
     def certificate_from_flags(self) -> Certificate:
+        """The ``Certificate`` view of the tree flags and core."""
         ids = self.edge_ids()
         flags = bytes(self.eflag)
         t1 = set(compress(ids, flags.translate(_IN_TREE1)))
         t2 = set(compress(ids, flags.translate(_IN_TREE2)))
-        return Certificate(
-            tree1=t1,
-            tree2=t2,
-            shared=t1 & t2,
-            central_cycle=self.central_cycle,
-            matching_pairs=self.matching_pairs,
-        )
+        return Certificate(t1, t2, t1 & t2, self.central_cycle, self.matching_pairs)
 
     # -- serialization ---------------------------------------------------------
 

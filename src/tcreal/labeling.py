@@ -1,8 +1,9 @@
 """Time-label assignment over a two-spanning-tree certificate.
 
-``pivot_label`` turns a graph plus a certificate (two all-edge-covering
-spanning trees sharing at most two edges) into a proper labeling whose
-strictly increasing journeys connect every ordered vertex pair:
+``pivot_label`` turns a graph whose tree flags and ``central_cycle`` form
+a certificate (two all-edge-covering spanning trees sharing at most two
+edges) into a proper labeling whose strictly increasing journeys connect
+every ordered vertex pair:
 
 * collection phase: the first tree, minus the central shared core, is
   labeled so labels strictly increase from the leaves toward the core;
@@ -20,13 +21,12 @@ returned ``TemporalLabeling`` carries only the largest label used.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from itertools import chain, compress, count
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .graphstore import Certificate, GraphError, LabeledMultigraph
+from .graphstore import _IN_TREE1, _IN_TREE2, FLAG_BOTH, FLAG_NONE, GraphError, LabeledMultigraph
 
 __all__ = ["TemporalLabeling", "pivot_label"]
 
@@ -126,13 +126,14 @@ def _cycle_edge_ids(
     return [x for x in found if x is not None]
 
 
-def pivot_label(g: LabeledMultigraph, cert: Certificate) -> TemporalLabeling:
+def pivot_label(g: LabeledMultigraph) -> TemporalLabeling:
     """Label the graph so it is temporally connected under strict journeys.
 
     Writes every edge's label into ``g.elabel``, after clearing the list
-    so no earlier label survives.  Requires a finished graph and a valid
-    certificate: two spanning trees covering every edge, sharing at most
-    two edges; two shared edges must lie on the recorded central 4-cycle.
+    so no earlier label survives.  Requires a finished graph whose tree
+    flags form a valid certificate: two spanning trees covering every
+    edge, sharing at most two edges; two shared edges must lie on the
+    recorded central 4-cycle.
     """
     ids = g.edge_ids()
     elabel = g.elabel
@@ -140,30 +141,27 @@ def pivot_label(g: LabeledMultigraph, cert: Certificate) -> TemporalLabeling:
     if g.n == 0:
         return TemporalLabeling(0)
 
-    if cert.central_cycle is not None:
-        roots: List[int] = list(cert.central_cycle)
-        central = _cycle_edge_ids(g, cert.central_cycle)
-    elif len(cert.shared) == 1:
-        (s,) = cert.shared
+    flags = bytearray(g.eflag)
+    cycle = g.central_cycle
+    if cycle is not None:
+        roots: List[int] = list(cycle)
+        central = _cycle_edge_ids(g, cycle)
+    elif flags.count(FLAG_BOTH) == 1:
+        s = flags.index(FLAG_BOTH)
         roots = list(g.endpoints(s))
         central = [s]
-    elif len(cert.shared) == 0:
+    elif FLAG_BOTH not in flags:
         roots = [0]
         central = []
     else:
         raise GraphError("more than one shared edge requires a central cycle")
 
-    # Walk the tree edges in id order: set order depends on the id
-    # values, so renumbering the edges without reordering them would
-    # otherwise change the labels.  The core holds at most four edges:
-    # find each in the sorted tree lists by bisection and delete it,
-    # rather than testing every tree edge against the core.
-    up_edges = sorted(cert.tree1)
-    down_edges = sorted(cert.tree2)
-    for edges, tree in ((up_edges, cert.tree1), (down_edges, cert.tree2)):
-        for e in central:
-            if e in tree:
-                del edges[bisect_left(edges, e)]
+    # Each tree's edges in id order, without the core: the labels then
+    # depend on the edge order alone, not on the id values.
+    for e in central:
+        flags[e] = FLAG_NONE
+    up_edges = list(compress(ids, flags.translate(_IN_TREE1)))
+    down_edges = list(compress(ids, flags.translate(_IN_TREE2)))
 
     # Collection phase: deepest discovery edges first, so labels strictly
     # increase along every path toward the root set.
@@ -173,7 +171,7 @@ def pivot_label(g: LabeledMultigraph, cert: Certificate) -> TemporalLabeling:
     top = t_r
 
     # Central core.
-    if cert.central_cycle is not None:
+    if cycle is not None:
         ring = central
         # Opposite ring pairs; the pair holding the smallest edge id fires first.
         pair_a, pair_b = (ring[0], ring[2]), (ring[1], ring[3])

@@ -37,7 +37,6 @@ from .graphstore import (
     FLAG_NONE,
     FLAG_T1,
     FLAG_T2,
-    Certificate,
     GraphError,
     LabeledMultigraph,
 )
@@ -80,15 +79,15 @@ class Decision:
 class RealizeResult:
     """Outcome of realize_tc / realize_nonstrict.
 
-    ``graph``, ``certificate``, and ``labeling`` are populated only when
-    the decision is positive (``certificate`` stays None in non-strict
-    mode, which needs no two-tree witness).  The labels live in
-    ``graph.elabel``; ``labeling`` carries the largest one.
+    ``graph`` and ``labeling`` are populated only when the decision is
+    positive.  The labels live in ``graph.elabel``; ``labeling`` carries
+    the largest one.  In strict mode the graph's tree flags and
+    ``central_cycle`` are its certificate (see ``certificate_violation``);
+    non-strict mode needs no two-tree witness.
     """
 
     decision: Decision
     graph: Optional[LabeledMultigraph] = None
-    certificate: Optional[Certificate] = None
     labeling: Optional[TemporalLabeling] = None
 
     @property
@@ -571,12 +570,11 @@ def realize_tc(
         g = build_c4_pivotable(d, mode)
     else:
         g = build_one_shared(d, mode)
-    cert = g.certificate_from_flags()
-    labeling = pivot_label(g, cert)
+    labeling = pivot_label(g)
     if debug_asserts_enabled():
         assert g.validate()
         assert sorted(g.degrees(), reverse=True) == d.entries
-    return RealizeResult(decision, g, cert, labeling)
+    return RealizeResult(decision, g, labeling)
 
 
 def _nonstrict_decision(d: DegreeSequence, mode: str) -> Decision:
@@ -705,4 +703,4 @@ def realize_nonstrict(d: DegreeSequence, mode: str = "simple") -> RealizeResult:
     if debug_asserts_enabled():
         assert g.validate()
         assert sorted(g.degrees(), reverse=True) == d.entries
-    return RealizeResult(decision, g, None, labeling)
+    return RealizeResult(decision, g, labeling)

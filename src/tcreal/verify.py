@@ -5,8 +5,9 @@ Each property has one checker, shared by the library and the CLI:
 ``simplicity_violation``, ``properness_violation``, ``tc_violation`` and
 ``certificate_violation`` return ``None`` when the property holds and
 otherwise a one-line reason naming the failed condition and a witness
-(an edge, a vertex pair, a cycle).  ``is_simple``, ``is_proper``,
-``is_tc`` and ``validate_certificate`` are their boolean forms.
+(an edge, a vertex pair, a cycle).  The certificate is the graph's own
+tree flags and core.  ``is_simple``, ``is_proper``, ``is_tc`` and
+``validate_certificate`` are their boolean forms.
 
 Everything here deliberately avoids the construction code paths: the
 reachability routines work from the flat edge lists, and the oracle decides
@@ -22,7 +23,7 @@ from collections import Counter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .degseq import DegreeSequence, is_graphical, is_multigraphical
-from .graphstore import _IN_TREE1, FLAG_BOTH, Certificate, GraphError, LabeledMultigraph
+from .graphstore import _IN_TREE1, _IN_TREE2, FLAG_BOTH, Certificate, GraphError, LabeledMultigraph
 
 __all__ = [
     "simplicity_violation",
@@ -308,48 +309,44 @@ class _DSU:
 
 
 def _spanning_tree_violation(
-    g: LabeledMultigraph, edges: Set[int], name: str
+    g: LabeledMultigraph, edges: List[int], name: str
 ) -> Optional[str]:
-    m = len(g.edge_ids())
+    """How the id-ordered ``edges`` fail to form a spanning tree, or ``None``."""
     want = max(g.n - 1, 0)
     if len(edges) != want:
         return f"{name} has {len(edges)} edges, a spanning tree needs {want}"
     eu, ev = g.eu, g.ev
     union = _DSU(g.n).union
-    for e in sorted(edges):
-        if not 0 <= e < m:
-            return f"{name} edge {e} is not an edge id"
+    for e in edges:
         u, v = eu[e], ev[e]
         if not union(u, v):
             return f"{name} edge {e} ({u}, {v}) closes a cycle"
     return None  # n-1 acyclic edges on n vertices must span
 
 
-def certificate_violation(g: LabeledMultigraph, cert: Certificate) -> Optional[str]:
-    """The first way the certificate fails, or ``None`` when it is valid.
+def certificate_violation(g: LabeledMultigraph) -> Optional[str]:
+    """The first way the graph's certificate (its tree flags,
+    ``central_cycle`` and ``matching_pairs``) fails, or ``None``.
 
-    Both edge sets must be spanning trees with the declared shared core.
-    With two shared edges, the central 4-cycle must be present, induced
-    (all four cycle edges of multiplicity one, no chord), and carry both
+    The edges flagged into each tree must form a spanning tree.  With
+    two shared edges, the central 4-cycle must be present, induced (all
+    four cycle edges of multiplicity one, no chord), and carry both
     shared edges.  Matching pairs, when present, must each combine one
     off-cycle edge per tree with no common endpoint.
     """
-    reason = _spanning_tree_violation(g, cert.tree1, "tree 1")
-    if reason is None:
-        reason = _spanning_tree_violation(g, cert.tree2, "tree 2")
+    ids = g.edge_ids()
+    flags = bytes(g.eflag)
+    in1, in2 = flags.translate(_IN_TREE1), flags.translate(_IN_TREE2)
+    reason = (_spanning_tree_violation(g, list(itertools.compress(ids, in1)), "tree 1")
+              or _spanning_tree_violation(g, list(itertools.compress(ids, in2)), "tree 2"))
     if reason is not None:
         return reason
-    shared = cert.tree1 & cert.tree2
-    if shared != cert.shared:
-        return (
-            f"declared shared edges {sorted(cert.shared)} differ from the "
-            f"trees' common edges {sorted(shared)}"
-        )
-    if len(shared) > 2:
-        return f"the trees share {len(shared)} edges, at most 2 are allowed"
+    shared = flags.count(FLAG_BOTH)
+    if shared > 2:
+        return f"the trees share {shared} edges, at most 2 are allowed"
     cycle_edges: Set[int] = set()
-    if len(shared) == 2:
-        cyc = cert.central_cycle
+    if shared == 2:
+        cyc = g.central_cycle
         if cyc is None:
             return "two shared edges need a central cycle"
         if len(set(cyc)) != 4 or any(not 0 <= x < g.n for x in cyc):
@@ -358,7 +355,7 @@ def certificate_violation(g: LabeledMultigraph, cert: Certificate) -> Optional[s
         chord_pairs = {frozenset((cyc[0], cyc[2])), frozenset((cyc[1], cyc[3]))}
         pair_to_edges: Dict[frozenset, List[int]] = {p: [] for p in cyc_pairs}
         on_cycle = set(cyc)
-        for e, u, v in zip(g.edge_ids(), g.eu, g.ev):
+        for e, u, v in zip(ids, g.eu, g.ev):
             if not (u in on_cycle and v in on_cycle):
                 continue
             key = frozenset((u, v))
@@ -372,18 +369,19 @@ def certificate_violation(g: LabeledMultigraph, cert: Certificate) -> Optional[s
                 a, b = sorted(p)
                 return f"central cycle pair ({a}, {b}) has {len(found)} edges, not 1"
             cycle_edges.add(found[0])
-        off = shared - cycle_edges
+        off = [e for e in (flags.index(FLAG_BOTH), flags.rindex(FLAG_BOTH))
+               if e not in cycle_edges]
         if off:
-            return f"shared edge {min(off)} is not on the central cycle"
-    elif cert.central_cycle is not None:
-        return f"a central cycle is recorded with {len(shared)} shared edges"
-    if cert.matching_pairs is not None:
-        if len(shared) != 2:
-            return f"matching pairs are recorded with {len(shared)} shared edges"
-        for e1, e2 in cert.matching_pairs:
+            return f"shared edge {off[0]} is not on the central cycle"
+    elif g.central_cycle is not None:
+        return f"a central cycle is recorded with {shared} shared edges"
+    if g.matching_pairs is not None:
+        if shared != 2:
+            return f"matching pairs are recorded with {shared} shared edges"
+        for e1, e2 in g.matching_pairs:
             if e1 in cycle_edges or e2 in cycle_edges:
                 return f"matching pair ({e1}, {e2}) uses a central cycle edge"
-            if e1 not in cert.tree1 or e2 not in cert.tree2:
+            if not (e1 in ids and e2 in ids and in1[e1] and in2[e2]):
                 return f"matching pair ({e1}, {e2}) is not a tree-1 and a tree-2 edge"
             common = set(g.endpoints(e1)) & set(g.endpoints(e2))
             if common:
@@ -392,9 +390,9 @@ def certificate_violation(g: LabeledMultigraph, cert: Certificate) -> Optional[s
 
 
 def validate_certificate(g: LabeledMultigraph, cert: Certificate) -> bool:
-    """Both edge sets are spanning trees with the declared shared core;
+    """Whether ``cert`` is the graph's own certificate and that is valid;
     see ``certificate_violation``."""
-    return certificate_violation(g, cert) is None
+    return cert == g.certificate_from_flags() and certificate_violation(g) is None
 
 
 # -- exhaustive realizability oracle -------------------------------------------

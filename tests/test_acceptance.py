@@ -44,7 +44,8 @@ def full_check(d: DegreeSequence, mode: str):
     """The criterion-3 battery; returns the result for further shape checks."""
     res = realize_tc(d, mode)
     assert res.realizable, (d, mode)
-    g, cert, lab = res.graph, res.certificate, res.labeling
+    g, lab = res.graph, res.labeling
+    cert = g.certificate_from_flags()
     assert sorted(g.degrees(), reverse=True) == list(d.entries), (d, mode)
     assert g.validate(), (d, mode)
     assert is_proper(g), (d, mode)
@@ -182,7 +183,7 @@ def test_4_certificate_shapes():
                 (4, 4, 3, 3, 3, 3, 3, 3, 2)]
     for tup in boundary:
         res = realize_tc(DegreeSequence(tup), "simple")
-        cert = res.certificate
+        cert = res.graph.certificate_from_flags()
         assert len(cert.shared) == 2
         assert cert.central_cycle is not None
         assert validate_certificate(res.graph, cert)
@@ -190,7 +191,7 @@ def test_4_certificate_shapes():
              (4, 4, 4, 4, 3, 1)]
     for tup in above:
         res = realize_tc(DegreeSequence(tup), "simple")
-        assert len(res.certificate.shared) <= 1, tup
+        assert len(res.graph.certificate_from_flags().shared) <= 1, tup
     zero = [(3, 3, 3, 3), (4, 4, 4, 4, 4), (4, 4, 3, 3, 3, 3)]
     for tup in zero:
         g = build_two_edst(DegreeSequence(tup))
@@ -208,11 +209,11 @@ def test_5_flagship_instances():
     for tup in [(3, 3, 3, 3, 3, 3), (4, 3, 3, 3, 3, 3, 3),
                 (5, 3, 3, 3, 3, 3, 3, 3)]:
         res = full_check(DegreeSequence(tup), "simple")
-        assert len(res.certificate.shared) == 1, tup
+        assert len(res.graph.certificate_from_flags().shared) == 1, tup
     for tup in [tuple([3] * 8), (2, 2, 2, 2)]:
         res = full_check(DegreeSequence(tup), "simple")
-        assert len(res.certificate.shared) == 2
-        assert res.certificate.central_cycle is not None
+        assert len(res.graph.certificate_from_flags().shared) == 2
+        assert res.graph.central_cycle is not None
     # Multigraph bases: two parallel edges, and a double edge plus a
     # two-edge path, each split into edge-disjoint spanning trees.
     g = build_two_edst(DegreeSequence([2, 2]), "multi")

@@ -366,9 +366,28 @@ def test_verify_rejects_coerced_values(capsys, tmp_path, doc):
 def test_verify_rejects_parallel_edges_in_simple_mode_only(capsys, tmp_path, mode, expected):
     doc = triangle_document([1, 2, 3], endpoints=((0, 1), (1, 2), (1, 0)))
     doc["mode"] = mode
+    for rec, tree in zip(doc["edges"], ("t1", "both", "t2")):
+        rec["tree"] = tree  # two spanning trees, so the certificate holds
     path = tmp_path / "parallel.json"
     path.write_text(json.dumps(doc))
     assert run(capsys, "verify", str(path)) == expected
+
+
+@pytest.mark.parametrize("trees, expected", [
+    ({1: "none"}, "tree 1 has 4 edges, a spanning tree needs 5"),
+    ({7: "none", 6: "both"}, "tree 1 edge 6 (3, 4) closes a cycle"),
+], ids=["tree-edge-dropped", "tree-cycle"])
+def test_verify_rejects_broken_trees(capsys, tmp_path, trees, expected):
+    # The labels stay as built, so the document is still simple, proper
+    # and temporally connected; only its certificate is broken.
+    path = tmp_path / "g.json"
+    assert run(capsys, "build", "--out", str(path), "3 3 3 3 3 3")[0] == 0
+    assert run(capsys, "verify", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    for e, tree in trees.items():
+        doc["edges"][e]["tree"] = tree
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(path)) == (1, f"FAIL certificate: {expected}\n", "")
 
 
 def test_verify_rejects_deeply_nested_json(capsys, tmp_path):

@@ -17,7 +17,6 @@ from tcreal.graphstore import (
     FLAG_NONE,
     FLAG_T1,
     FLAG_T2,
-    Certificate,
     GraphError,
     LabeledMultigraph,
 )
@@ -438,8 +437,8 @@ def test_finish_renumbers_the_matching_pairs(mode):
             for pair in g.matching_pairs] == ends
     # And on realize_tc's outputs at an n with many merges.
     res = realize_tc(DegreeSequence(LARGE_FAMILIES["c4-all-3"](1000)), mode)
-    assert res.certificate.matching_pairs is not None
-    assert certificate_violation(res.graph, res.certificate) is None
+    assert res.graph.matching_pairs is not None
+    assert certificate_violation(res.graph) is None
 
 
 def _unfinished():
@@ -450,14 +449,10 @@ def _unfinished():
     return g
 
 
-# The certificate of the finished _unfinished() graph.
-_CERT = Certificate({0, 1, 2}, {0, 3, 4}, {0})
-
-
 @pytest.mark.parametrize("read", [
     lambda g: g.edge_ids(),
     lambda g: g.certificate_from_flags(),
-    lambda g: pivot_label(g, _CERT),
+    lambda g: pivot_label(g),
     lambda g: g.write_json(io.StringIO()),
     lambda g: g.write_dot(io.StringIO()),
     lambda g: g.to_json(),
@@ -466,7 +461,7 @@ _CERT = Certificate({0, 1, 2}, {0, 3, 4}, {0})
     simplicity_violation,
     properness_violation,
     tc_violation,
-    lambda g: certificate_violation(g, _CERT),
+    lambda g: certificate_violation(g),
 ])
 def test_readers_reject_unfinished_graphs(read):
     g = _unfinished()

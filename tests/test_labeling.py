@@ -8,7 +8,6 @@ from tcreal.graphstore import (
     FLAG_BOTH,
     FLAG_T1,
     FLAG_T2,
-    Certificate,
     GraphError,
     LabeledMultigraph,
 )
@@ -21,27 +20,27 @@ from conftest import build_fixed, to_json_dict
 
 def test_empty_graph():
     g = build_fixed("simple", 0, [])
-    lab = pivot_label(g, Certificate(set(), set(), set()))
+    lab = pivot_label(g)
     assert g.elabel == [] and lab.max_label == 0
 
 
 def test_single_shared_edge_k2():
     g = build_fixed("simple", 2, [(0, 1, FLAG_BOTH)])
-    lab = pivot_label(g, g.certificate_from_flags())
+    lab = pivot_label(g)
     assert g.elabel == [1] and lab.max_label == 1
     assert is_tc(g)
 
 
 def test_k4_edge_disjoint_trees():
     g = bases.instantiate(bases.K4_EDST, "simple")
-    lab = pivot_label(g, g.certificate_from_flags())
+    lab = pivot_label(g)
     assert is_simple(g) and is_proper(g) and is_tc(g)
     assert lab.max_label <= 2 * g.n + 2
 
 
 def test_central_cycle_gets_two_consecutive_labels():
     g = bases.instantiate(bases.C4_BASE, "simple")
-    pivot_label(g, g.certificate_from_flags())
+    pivot_label(g)
     ring_labels = sorted({g.elabel[e] for e in range(4)})
     # Four ring edges share exactly two labels, one per opposite pair.
     assert len(ring_labels) == 2
@@ -65,8 +64,7 @@ def test_collection_phase_increases_toward_core():
             (2, 4, FLAG_T2),
         ],
     )
-    cert = g.certificate_from_flags()
-    pivot_label(g, cert)
+    pivot_label(g)
     lab = g.elabel
     assert lab[0] < lab[1] < lab[2]
     # The shared core fires after the whole collection phase.
@@ -95,7 +93,7 @@ def test_rejects_non_spanning_tree_edges():
     )
     # tree1 misses vertex 3, tree2 misses vertex 0.
     with pytest.raises(GraphError):
-        pivot_label(g, g.certificate_from_flags())
+        pivot_label(g)
 
 
 def test_rejects_cyclic_tree_edges():
@@ -104,9 +102,8 @@ def test_rejects_cyclic_tree_edges():
         3,
         [(0, 1, FLAG_T1), (1, 2, FLAG_T1), (2, 0, FLAG_T1)],
     )
-    cert = Certificate(tree1={0, 1, 2}, tree2=set(), shared=set())
     with pytest.raises(GraphError):
-        pivot_label(g, cert)
+        pivot_label(g)
 
 
 def test_rejects_two_shared_edges_without_cycle():
@@ -116,7 +113,7 @@ def test_rejects_two_shared_edges_without_cycle():
         [(0, 1, FLAG_BOTH), (1, 2, FLAG_BOTH), (2, 0, 0)],
     )
     with pytest.raises(GraphError):
-        pivot_label(g, g.certificate_from_flags())
+        pivot_label(g)
 
 
 def test_label_bound_across_realizations():
@@ -163,7 +160,7 @@ def test_stale_labels_do_not_leak():
 
         # A realization with every label scrambled.
         g.elabel[:] = [1 + (7 * e) % 3 for e in range(len(g.elabel))]
-        assert pivot_label(g, g.certificate_from_flags()).max_label == top
+        assert pivot_label(g).max_label == top
         assert g.elabel == expected, (tup, mode)
 
         # A reloaded document: its labels, scrambled, give way to the
@@ -176,7 +173,7 @@ def test_stale_labels_do_not_leak():
             rec["label"] = 1 + (7 * i) % 3
         loaded = LabeledMultigraph.from_json_dict(doc)
         for h in (bare, loaded):
-            assert pivot_label(h, h.certificate_from_flags()).max_label == top
+            assert pivot_label(h).max_label == top
         assert loaded.elabel == bare.elabel, (tup, mode)
         assert sorted(bare.elabel) == sorted(filter(None, expected))
 
@@ -184,8 +181,8 @@ def test_stale_labels_do_not_leak():
 def test_reloaded_graph_relabels_identically():
     # The labels must not depend on the id values, only on their order,
     # so renumbering the edges without reordering them keeps them.
-    # Python set order does depend on the values: walking the
-    # certificate's tree sets unsorted gave other labels here for simple
+    # Python set order does depend on the values: walking sets of tree
+    # edge ids unsorted gave other labels here for simple
     # all-6 at n = 13, 50 and 1,000, when built graphs still numbered
     # their edges with gaps.
     families = {
@@ -198,7 +195,7 @@ def test_reloaded_graph_relabels_identically():
             for mode in ("simple", "multi"):
                 g = realize_tc(DegreeSequence(family(n)), mode).graph
                 h = LabeledMultigraph.from_json(g.to_json())
-                pivot_label(h, h.certificate_from_flags())
+                pivot_label(h)
                 built = [(g.eu[e], g.ev[e], g.elabel[e]) for e in g.edge_ids()]
                 reloaded = [(h.eu[e], h.ev[e], h.elabel[e]) for e in h.edge_ids()]
                 assert reloaded == built, (name, n, mode)

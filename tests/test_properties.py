@@ -7,10 +7,10 @@ from tcreal.degseq import DegreeSequence, is_graphical, is_multigraphical
 from tcreal.graphstore import LabeledMultigraph
 from tcreal.realize import check_tc_realizable, realize_nonstrict, realize_tc
 from tcreal.verify import (
+    certificate_violation,
     is_proper,
     is_simple,
     is_tc,
-    validate_certificate,
 )
 
 from conftest import to_json_dict
@@ -47,12 +47,12 @@ def test_realize_full_verification(n, pairs, mode):
     assert res.realizable == check_tc_realizable(d, mode).realizable
     if not res.realizable:
         return
-    g, cert, lab = res.graph, res.certificate, res.labeling
+    g, lab = res.graph, res.labeling
     assert sorted(g.degrees(), reverse=True) == list(d.entries)
     assert g.validate()
     assert is_proper(g)
     assert is_simple(g)
-    assert validate_certificate(g, cert)
+    assert certificate_violation(g) is None
     assert is_tc(g)
     if all(g.eflag[e] != 0 for e in g.edge_ids()):
         assert lab.max_label <= 2 * d.n + 2

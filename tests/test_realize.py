@@ -39,13 +39,13 @@ def full_check(tup, mode, expect_reason=None):
     assert res.realizable, (tup, mode, res.decision)
     if expect_reason is not None:
         assert res.decision.reason == expect_reason, (tup, res.decision)
-    g, cert, lab = res.graph, res.certificate, res.labeling
+    g, lab = res.graph, res.labeling
     assert sorted(g.degrees(), reverse=True) == list(d.entries)
     assert g.validate()
     assert is_proper(g)
     if mode == "simple":
         assert is_simple(g)
-    assert validate_certificate(g, cert), (tup, mode)
+    assert certificate_violation(g) is None, (tup, mode)
     assert is_tc(g), (tup, mode)
     if all(g.eflag[e] != 0 for e in g.edge_ids()):
         assert lab.max_label <= 2 * d.n + 2, (tup, mode, lab.max_label)
@@ -248,14 +248,13 @@ def test_c4_certificates_have_induced_cycle():
 
 def test_all3_c4_certificates_carry_matching_pairs():
     # The all-3 boundary route records its two cross-tree off-cycle
-    # pairs on the graph; the certificate realize_tc derives must carry
-    # them so the self-verify checks them.
+    # pairs on the graph, where the certificate check reads them.
     for tup in [(3,) * 8, (4,) + (3,) * 8, (4,) * 4 + (3,) * 8]:
         for mode in ("simple", "multi"):
             res = realize_tc(DegreeSequence(tup), mode)
-            pairs = res.certificate.matching_pairs
+            pairs = res.graph.matching_pairs
             assert pairs is not None and len(pairs) == 2, (tup, mode)
-            assert certificate_violation(res.graph, res.certificate) is None
+            assert certificate_violation(res.graph) is None
 
 
 def test_construction_is_deterministic():
@@ -271,7 +270,6 @@ def test_realize_not_realizable_has_no_graph():
     res = realize_tc(seq(2, 2, 1, 1, 1, 1), "simple")
     assert not res.realizable
     assert res.graph is None
-    assert res.certificate is None
     assert res.labeling is None
 
 

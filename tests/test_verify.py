@@ -439,23 +439,22 @@ def test_validate_certificate_one_shared():
     g = build_fixed(
         "simple", 3, [(0, 1, FLAG_BOTH), (1, 2, FLAG_T1), (2, 0, FLAG_T2)]
     )
+    assert certificate_violation(g) is None
     assert validate_certificate(g, g.certificate_from_flags())
 
 
 def test_validate_certificate_rejects_non_spanning():
     g = build_fixed(
-        "simple", 3, [(0, 1, FLAG_BOTH), (1, 2, FLAG_T1), (2, 0, FLAG_T2)]
+        "simple", 3, [(0, 1, FLAG_T2), (1, 2, FLAG_T1), (2, 0, FLAG_T2)]
     )
-    cert = Certificate(tree1={1}, tree2={0, 2}, shared=set())
-    assert not validate_certificate(g, cert)
-    assert certificate_violation(g, cert) == (
+    assert not validate_certificate(g, g.certificate_from_flags())
+    assert certificate_violation(g) == (
         "tree 1 has 1 edges, a spanning tree needs 2"
     )
     doubled = build_fixed(
-        "multi", 3, [(0, 1, FLAG_T1), (0, 1, FLAG_T1), (1, 2, FLAG_T2)]
+        "multi", 3, [(0, 1, FLAG_T1), (0, 1, FLAG_BOTH), (1, 2, FLAG_T2)]
     )
-    cert = Certificate(tree1={0, 1}, tree2={1, 2}, shared={1})
-    assert certificate_violation(doubled, cert) == (
+    assert certificate_violation(doubled) == (
         "tree 1 edge 1 (0, 1) closes a cycle"
     )
 
@@ -464,11 +463,11 @@ def test_validate_certificate_rejects_wrong_shared_record():
     g = build_fixed(
         "simple", 3, [(0, 1, FLAG_BOTH), (1, 2, FLAG_T1), (2, 0, FLAG_T2)]
     )
+    # The graph's own certificate is valid; a view that records no
+    # shared edge is not the graph's, so it does not validate.
+    assert certificate_violation(g) is None
     cert = Certificate(tree1={0, 1}, tree2={0, 2}, shared=set())
     assert not validate_certificate(g, cert)
-    assert certificate_violation(g, cert) == (
-        "declared shared edges [] differ from the trees' common edges [0]"
-    )
 
 
 def test_validate_certificate_two_shared_needs_induced_cycle():
@@ -476,17 +475,20 @@ def test_validate_certificate_two_shared_needs_induced_cycle():
              (3, 0, FLAG_T2)]
     g = build_fixed("simple", 4, edges, central_cycle=(0, 1, 2, 3))
     assert validate_certificate(g, g.certificate_from_flags())
-    # Without the recorded cycle the two shared edges are rejected.
+    # A view without the recorded cycle is not the graph's own.
     bad = g.certificate_from_flags()
     bad = Certificate(bad.tree1, bad.tree2, bad.shared, central_cycle=None)
     assert not validate_certificate(g, bad)
-    assert certificate_violation(g, bad) == "two shared edges need a central cycle"
+    # Without the recorded cycle the two shared edges are rejected.
+    g.central_cycle = None
+    assert not validate_certificate(g, g.certificate_from_flags())
+    assert certificate_violation(g) == "two shared edges need a central cycle"
     # A chord breaks the induced condition.
     chorded = build_fixed(
         "simple", 4, edges + [(0, 2, 0)], central_cycle=(0, 1, 2, 3)
     )
     assert not validate_certificate(chorded, chorded.certificate_from_flags())
-    assert certificate_violation(chorded, chorded.certificate_from_flags()) == (
+    assert certificate_violation(chorded) == (
         "edge 4 (0, 2) is a chord of the central cycle"
     )
 
@@ -497,16 +499,15 @@ def test_certificate_rejects_dead_and_unknown_tree_edges():
         [(0, 1, FLAG_BOTH), (1, 2, FLAG_T1), (2, 0, FLAG_T2), (3, 0, FLAG_BOTH)],
     )
     g.remove_edge(3)
-    cert = Certificate(tree1={0, 1, 3}, tree2={0, 2, 3}, shared={0, 3})
     with pytest.raises(GraphError):
-        certificate_violation(g, cert)
+        certificate_violation(g)
     g.finish()
-    assert certificate_violation(g, cert) == "tree 1 edge 3 is not an edge id"
-    for bad in (4, -1):
-        cert = Certificate(tree1={0, 1, bad}, tree2={0, 2, 3}, shared={0})
-        assert certificate_violation(g, cert) == (
-            f"tree 1 edge {bad} is not an edge id"
-        )
+    # The flags name only live edge ids; a view naming others is not
+    # the graph's own certificate.
+    assert certificate_violation(g) == "tree 1 has 2 edges, a spanning tree needs 3"
+    for bad in (3, 4, -1):
+        cert = Certificate(tree1={0, 1, bad}, tree2={0, 2}, shared={0})
+        assert not validate_certificate(g, cert)
 
 
 def test_certificate_rejects_a_doubled_ring_pair():
@@ -516,11 +517,11 @@ def test_certificate_rejects_a_doubled_ring_pair():
          (3, 0, FLAG_T2), (2, 1, 0)],
         central_cycle=(0, 1, 2, 3),
     )
-    assert certificate_violation(g, g.certificate_from_flags()) == (
+    assert certificate_violation(g) == (
         "central cycle pair (1, 2) has 2 edges, not 1"
     )
     g.remove_edge(4)  # a removed edge on the ring pair does not count
-    assert certificate_violation(g.finish(), g.certificate_from_flags()) is None
+    assert certificate_violation(g.finish()) is None
 
 
 def test_certificate_rejects_a_shared_edge_off_the_cycle():
@@ -532,7 +533,7 @@ def test_certificate_rejects_a_shared_edge_off_the_cycle():
          (3, 0, FLAG_T1), (3, 4, FLAG_BOTH), (1, 4, FLAG_T2)],
         central_cycle=(0, 1, 2, 3),
     )
-    assert certificate_violation(g, g.certificate_from_flags()) == (
+    assert certificate_violation(g) == (
         "shared edge 4 is not on the central cycle"
     )
 
@@ -547,25 +548,22 @@ def test_validate_certificate_matching_pairs():
          (4, 5, FLAG_T2), (3, 4, FLAG_T2)],
         central_cycle=(0, 1, 2, 3),
     )
-    cert = g.certificate_from_flags()
-    assert certificate_violation(g, cert) is None
+    assert certificate_violation(g) is None
 
-    def with_pairs(*pairs):
-        return Certificate(cert.tree1, cert.tree2, cert.shared,
-                           cert.central_cycle, matching_pairs=pairs)
+    def violation(*pairs):
+        g.matching_pairs = pairs
+        return certificate_violation(g)
 
-    assert validate_certificate(g, with_pairs((5, 7)))
+    assert violation((5, 7)) is None
+    assert validate_certificate(g, g.certificate_from_flags())
     # Edges 0-4 and 4-5 share vertex 4, so they are not a matching.
-    assert not validate_certificate(g, with_pairs((4, 6)))
-    assert certificate_violation(g, with_pairs((4, 6))) == (
-        "matching pair (4, 6) shares vertex 4"
-    )
-    assert certificate_violation(g, with_pairs((1, 7))) == (
-        "matching pair (1, 7) uses a central cycle edge"
-    )
-    assert certificate_violation(g, with_pairs((7, 5))) == (
-        "matching pair (7, 5) is not a tree-1 and a tree-2 edge"
-    )
+    assert violation((4, 6)) == "matching pair (4, 6) shares vertex 4"
+    assert not validate_certificate(g, g.certificate_from_flags())
+    assert violation((1, 7)) == "matching pair (1, 7) uses a central cycle edge"
+    for pair in ((7, 5), (5, 8)):  # 8 is not an edge id
+        assert violation(pair) == (
+            f"matching pair {pair} is not a tree-1 and a tree-2 edge"
+        )
 
 
 # -- brute-force oracle -------------------------------------------------------
