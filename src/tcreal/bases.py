@@ -5,12 +5,14 @@ realizations and tree splits (the search lives in the test suite and can
 regenerate them); everything here is a plain edge list with tree flags.
 
 Fixture format: n, edges as (u, v) pairs, tree edge-id lists, and where
-relevant the central 4-cycle and the off-cycle matching pairs.
+relevant the central 4-cycle and the off-cycle matching pairs.  ``attach``
+adds a fixture to a graph, either as a whole base or as a hub gadget whose
+vertex 0 lands on an existing vertex.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from .graphstore import (
     FLAG_NONE,
@@ -20,16 +22,15 @@ from .graphstore import (
 )
 
 __all__ = [
-    "instantiate",
-    "tree_flags",
+    "attach",
     "K4_EDST",
     "C4_BASE",
     "TRIANGLE_ONE_SHARED",
     "MULTI_22",
     "ONE_SHARED_DEG3",
     "C4_ALL3_8",
-    "C4_GADGET_EDGES",
-    "C4_GADGET_SPLIT",
+    "C4_GADGET",
+    "MULTI_C4_GADGET",
 ]
 
 # Complete graph on 4 vertices: two edge-disjoint spanning trees
@@ -109,45 +110,52 @@ C4_ALL3_8 = {
     "pairs": ((1, 8), (5, 11)),
 }
 
-# Hub gadget: a designated hub vertex plus a 6-cycle (x, y, z, z2, y2, x2)
-# with extra edges hub-x, hub-z, y-y2, x2-z2.  Vertices are listed in the
-# order (hub, x, y, z, z2, y2, x2); the central cycle is (hub, x, y, z).
-C4_GADGET_EDGES: List[Tuple[int, int]] = [
-    (0, 1), (1, 2), (2, 3), (3, 0),   # central cycle
-    (3, 4), (4, 5), (5, 6), (6, 1),   # rest of the 6-cycle
-    (2, 5), (6, 4),
-]
-
-# Split of the 10 gadget edges into two 6-edge trees spanning the 6 added
-# vertices from the hub, sharing exactly the cycle edges hub-x and x-y.
-C4_GADGET_SPLIT = {
+# Hub gadget: a hub vertex 0 plus a 6-cycle x, y, z, z2, y2, x2 on
+# vertices 1..6, with extra edges hub-x, hub-z, y-y2, x2-z2.  Its two
+# 6-edge trees span the 6 added vertices from the hub and share exactly
+# the cycle edges hub-x and x-y; the central cycle is (hub, x, y, z).
+C4_GADGET = {
+    "n": 7,
+    "edges": [
+        (0, 1), (1, 2), (2, 3), (3, 0),   # central cycle
+        (3, 4), (4, 5), (5, 6), (6, 1),   # rest of the 6-cycle
+        (2, 5), (6, 4),
+    ],
     "tree1": [0, 1, 2, 4, 5, 6],
     "tree2": [0, 1, 3, 7, 8, 9],
     "shared": [0, 1],
+    "cycle": (0, 1, 2, 3),
+}
+
+# Multi-mode hub gadget: a fresh central 4-cycle (hub, x, y, z) whose
+# two paths from the hub share the edges x-y and y-z.
+MULTI_C4_GADGET = {
+    "n": 4,
+    "edges": [(0, 1), (1, 2), (2, 3), (0, 3)],
+    "tree1": [0, 1, 2],
+    "tree2": [1, 2, 3],
+    "shared": [1, 2],
+    "cycle": (0, 1, 2, 3),
 }
 
 
-def tree_flags(m: int, split: dict) -> List[int]:
-    """The flag of each of m edge positions, from the ``tree1`` and
-    ``tree2`` position lists of ``split``; a shared position gets
-    FLAG_T1 | FLAG_T2, which is FLAG_BOTH."""
-    flags = [FLAG_NONE] * m
-    for i in split["tree1"]:
-        flags[i] |= FLAG_T1
-    for i in split["tree2"]:
-        flags[i] |= FLAG_T2
-    return flags
-
-
-def instantiate(fixture: dict, mode: str) -> LabeledMultigraph:
-    """Materialize a fixture into a graph with tree flags set."""
-    g = LabeledMultigraph(mode)
-    for _ in range(fixture["n"]):
-        g.add_vertex()
+def attach(
+    g: LabeledMultigraph, fixture: dict, hub: Optional[int] = None
+) -> LabeledMultigraph:
+    """Add a fixture to ``g`` with its tree flags, as new vertices, or
+    with fixture vertex 0 on the existing vertex ``hub``; a shared edge
+    gets FLAG_T1 | FLAG_T2, which is FLAG_BOTH.  The fixture's central
+    cycle becomes the graph's.  Returns ``g``."""
+    verts = [] if hub is None else [hub]
+    verts += [g.add_vertex() for _ in range(fixture["n"] - len(verts))]
     edges = fixture["edges"]
-    flags = tree_flags(len(edges), fixture)
+    flags = [FLAG_NONE] * len(edges)
+    for i in fixture["tree1"]:
+        flags[i] |= FLAG_T1
+    for i in fixture["tree2"]:
+        flags[i] |= FLAG_T2
     for (u, v), flag in zip(edges, flags):
-        g.add_edge(u, v, flag)
-    cyc: Optional[Tuple[int, int, int, int]] = fixture.get("cycle")
-    g.central_cycle = cyc
+        g.add_edge(verts[u], verts[v], flag)
+    if "cycle" in fixture:
+        g.central_cycle = tuple(verts[v] for v in fixture["cycle"])  # type: ignore[assignment]
     return g

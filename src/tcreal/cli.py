@@ -166,7 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.graph_file, "r", encoding="utf-8") as fh:
             g = LabeledMultigraph.from_json(fh.read())
-    except (OSError, GraphError) as exc:
+    except (OSError, UnicodeDecodeError, GraphError) as exc:
         print(f"cannot load graph: {exc}", file=sys.stderr)
         return EXIT_INPUT
     for prefix, check in (

@@ -1,12 +1,13 @@
 """Multigraph storage with degree buckets, tree flags, and time labels.
 
 The constructions repeatedly ask "give me a vertex whose current degree is
-x"; the store answers this from a per-degree bucket index.  Buckets are
-plain stacks of vertex ids with lazy invalidation (a popped id is valid
-only if the vertex still has that degree), which keeps every attach
-amortized proportional to the number of requested targets.  Ties between
-vertices of equal degree break deterministically (most recently pushed
-wins), which is all the constructions need.
+x"; the store answers this from a per-degree bucket index, a
+``defaultdict(list)`` from degree to a plain stack of vertex ids, so a
+push is ``buckets[d].append(v)``.  Stacks invalidate lazily (a popped id
+is valid only if the vertex still has that degree), which keeps every
+attach amortized proportional to the number of requested targets.  Ties
+between vertices of equal degree break deterministically (most recently
+pushed wins), which is all the constructions need.
 
 The constructions mostly append edges, so the store keeps flat per-edge
 lists (endpoints, flags, labels) plus the degrees and buckets.  Deleting
@@ -27,9 +28,10 @@ from __future__ import annotations
 
 import io
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice
-from typing import Dict, Iterator, List, Optional, Sequence, Set, TextIO, Tuple
+from typing import DefaultDict, Dict, Iterator, List, Optional, Sequence, Set, TextIO, Tuple
 
 __all__ = [
     "FLAG_NONE",
@@ -108,7 +110,7 @@ class LabeledMultigraph:
         self.elabel: List[Optional[int]] = []
         self._dead = 0  # slots flagged _DEAD
         self.vdeg: List[int] = []
-        self._buckets: Dict[int, List[int]] = {}
+        self._buckets: DefaultDict[int, List[int]] = defaultdict(list)
         self.central_cycle: Optional[Tuple[int, int, int, int]] = None
         # Set by the all-3 boundary construction; see Certificate.
         self.matching_pairs: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
@@ -145,15 +147,8 @@ class LabeledMultigraph:
     def add_vertex(self) -> int:
         v = len(self.vdeg)
         self.vdeg.append(0)
-        self._bucket_push(0, v)
+        self._buckets[0].append(v)
         return v
-
-    def _bucket_push(self, deg: int, v: int) -> None:
-        bucket = self._buckets.get(deg)
-        if bucket is None:
-            self._buckets[deg] = [v]
-        else:
-            bucket.append(v)
 
     def add_edge(self, u: int, v: int, flag: int = FLAG_NONE) -> int:
         if u == v:
@@ -174,18 +169,10 @@ class LabeledMultigraph:
         buckets = self._buckets
         du = vdeg[u] + 1
         vdeg[u] = du
-        bucket = buckets.get(du)
-        if bucket is None:
-            buckets[du] = [u]
-        else:
-            bucket.append(u)
+        buckets[du].append(u)
         dv = vdeg[v] + 1
         vdeg[v] = dv
-        bucket = buckets.get(dv)
-        if bucket is None:
-            buckets[dv] = [v]
-        else:
-            bucket.append(v)
+        buckets[dv].append(v)
         return e
 
     def remove_edge(self, e: int) -> None:
@@ -194,7 +181,7 @@ class LabeledMultigraph:
         self._dead += 1
         for x in (u, v):
             self.vdeg[x] -= 1
-            self._bucket_push(self.vdeg[x], x)
+            self._buckets[self.vdeg[x]].append(x)
 
     def replay_degree3_insertions(
         self, old_maxima: Sequence[int], t2_pair: Tuple[int, int]
@@ -225,8 +212,7 @@ class LabeledMultigraph:
         # A new vertex enters a bucket only once inserted, so presetting
         # the degrees of the ones still to come is invisible to lookups.
         vdeg += (3,) * k
-        bucket3 = buckets.setdefault(3, [])
-        push3 = bucket3.append
+        push3 = buckets[3].append
         add_u = eu.append
         pick, other = t2_pair
         e1 = e0
@@ -252,13 +238,8 @@ class LabeledMultigraph:
                 add_u(u)
                 add_u(a)
                 add_u(b)
-                du = x + 1
-                vdeg[u] = du
-                bkt = buckets.get(du)
-                if bkt is None:
-                    buckets[du] = [u]
-                else:
-                    bkt.append(u)
+                vdeg[u] = x + 1
+                buckets[x + 1].append(u)
                 push3(w)
                 pick, other = other, e1 + 1
                 e1 += 3
@@ -322,12 +303,7 @@ class LabeledMultigraph:
             add_u(x)
             add_u(y)
             for v in (p, q, x, y, w):
-                dv = vdeg[v]
-                bucket = buckets.get(dv)
-                if bucket is None:
-                    buckets[dv] = [v]
-                else:
-                    bucket.append(v)
+                buckets[vdeg[v]].append(v)
             # New edges e..e+3 are w-p, w-q, w-x, w-y.
             a = eu[f1]
             b = ev[f1]
@@ -382,8 +358,8 @@ class LabeledMultigraph:
         self.elabel += (None,) * (2 * done)
         vdeg += (2,) * done
         for d in (0, 1, 2):  # each new vertex's degree on the way
-            buckets.setdefault(d, []).extend(new_vertices)
-        buckets.setdefault(x + 1, []).extend(targets)
+            buckets[d].extend(new_vertices)
+        buckets[x + 1].extend(targets)
         if done < k:
             raise GraphError(f"no available vertex of degree {x}")
 
@@ -408,8 +384,7 @@ class LabeledMultigraph:
                 continue
             found = v
             break
-        if stash:
-            bucket = self._buckets.setdefault(deg, bucket or [])
+        if stash:  # only a bucket that exists yields a stash
             bucket.extend(reversed(stash))
         if found < 0:
             raise GraphError(f"no available vertex of degree {deg}")
@@ -583,8 +558,10 @@ class LabeledMultigraph:
     def from_json(cls, text: str) -> "LabeledMultigraph":
         try:
             data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            # RecursionError: arrays or objects nested too deep to decode.
+        except (ValueError, RecursionError) as exc:
+            # ValueError: JSONDecodeError, or an integer longer than the
+            # interpreter's digit limit; RecursionError: arrays or
+            # objects nested too deep to decode.
             raise GraphError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(data)
 

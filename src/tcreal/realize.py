@@ -10,19 +10,34 @@ connected proper labeling exactly when
 * m >= 2n-3 and either n <= 2 or (d_{n-1} >= 2 and d_n >= 1).
 
 The builders realize each regime with two all-edge-covering spanning
-trees sharing 0, 1, or 2 edges.  Every builder follows the same shape:
-descend the sequence by recording constant-size reduction steps onto a
-plan (a run of equal steps, such as lay-offs of 2s, as one entry),
-materialize a small frozen base realization, then replay the plan in
-reverse against the degree-bucketed graph store.  All passes are
-linear in n + m (bucket operations amortized).
+trees sharing 0, 1, or 2 edges.  Every builder, ``realize_nonstrict``
+included, follows the same shape: descend the sequence by recording
+constant-size reduction steps onto a plan, materialize a small frozen
+base (``bases.attach``), then replay the plan in reverse against the
+degree-bucketed graph store.  ``_replay`` is the only loop that grows a
+graph from a plan.  Each step is a tagged tuple, replayed as:
+
+* ``("pairs", x, k)``, a run of k lay-offs of a 2: k new vertices, each
+  joined to two vertices of degree x;
+* ``("attach", [(x, c), ...])``, a lay-off of the minimum: a new vertex
+  joined to c vertices of each degree x;
+* ``("attach2", x, y)``, a multi-mode double lay-off of a 2: a new
+  vertex joined to vertices of degrees x and y, maybe one vertex twice;
+* ``("edge", x, y)``, a peeled edge: an edge between vertices of
+  degrees x and y;
+* ``("split", d, k)``, k tight-sum splits of the maximum d: k degree-3
+  vertices, each inserted astride a tree-2 edge.
+
+A builder that peels a maximum and some minima (``_peel``) builds the
+rest this way and regrows the peel on the hub left in their place.  All
+passes are linear in n + m (bucket operations amortized).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import bases
 from .degseq import (
@@ -167,24 +182,9 @@ def _top_after_min_removal(cur: DegreeSequence, k: int) -> List[Tuple[int, int]]
     return out
 
 
-def _attach_flagged(
-    g: LabeledMultigraph,
-    targets: List[int],
-    first_flag: int = FLAG_T1,
-    second_flag: int = FLAG_T2,
-    allow_repeat: bool = False,
-) -> int:
-    """Attach a new vertex; its first two edges become tree edges."""
-    w, eids = g.attach_vertex(targets, allow_repeat_target=allow_repeat)
-    g.eflag[eids[0]] = first_flag
-    g.eflag[eids[1]] = second_flag
-    return w
-
-
 def _lay_off_min(cur: DegreeSequence, limit: int) -> tuple:
     """Lay off the minimum entry of ``cur``, or a run of up to ``limit``
-    2s in one ``lay_off_two_run``; returns the plan step that
-    :func:`_replay_lay_off` replays."""
+    2s in one ``lay_off_two_run``; returns the "attach" or "pairs" step."""
     x, k = cur.lay_off_two_run(limit)
     if k:
         return ("pairs", x, k)
@@ -193,12 +193,74 @@ def _lay_off_min(cur: DegreeSequence, limit: int) -> tuple:
     return step
 
 
-def _replay_lay_off(g: LabeledMultigraph, step: tuple) -> None:
-    """Attach the vertices a :func:`_lay_off_min` step laid off."""
-    if step[0] == "pairs":
-        g.attach_pair_run(step[1], step[2])
-    else:
-        _attach_flagged(g, [v for v, c in step[1] for _ in range(c)])
+def _lay_off_twos(cur: DegreeSequence, plan: List[tuple], floor: int) -> None:
+    """Lay off the 2s of ``cur`` onto ``plan`` until none is left or
+    ``floor`` entries remain."""
+    while cur.min_degree == 2 and cur.n > floor:
+        plan.append(_lay_off_min(cur, cur.n - floor))
+        _debug_seq(cur, "simple")
+
+
+def _replay(g: LabeledMultigraph, plan: List[tuple]) -> LabeledMultigraph:
+    """Grow ``g`` by the steps of ``plan``, the last recorded first; the
+    only loop that replays a plan.  Returns ``g``.
+
+    Consecutive "split" runs go to one ``replay_degree3_insertions``
+    call.  They come only from the two-tree descent, on the K4_EDST base.
+    The insertions keep a pair of vertex-disjoint tree-2 edges, so each
+    finds one avoiding its tree-1 neighbor; the pair starts as the base
+    edges (0, 2) and (1, 3), ids 3 and 5.
+    """
+    t2_pair = (3, 5)
+    run: List[int] = []
+    for step in reversed(plan):
+        tag = step[0]
+        if tag == "split":
+            run += [step[1]] * step[2]
+            continue
+        if run:
+            t2_pair = g.replay_degree3_insertions(run, t2_pair)
+            run.clear()
+        if tag == "attach":
+            # A new vertex whose first two edges become tree edges; only
+            # a non-strict descent lays off a 1 or a 0.
+            _, eids = g.attach_vertex([v for v, c in step[1] for _ in range(c)])
+            if len(eids) > 1:
+                g.eflag[eids[0]] = FLAG_T1
+                g.eflag[eids[1]] = FLAG_T2
+        elif tag == "pairs":
+            g.attach_pair_run(step[1], step[2])
+        elif tag == "edge":
+            u = g._bucket_pop_valid(step[1])
+            g.add_edge(u, g._bucket_pop_valid(step[2], exclude={u}))
+        else:  # "attach2", which may hit one target twice, a parallel edge
+            _, eids = g.attach_vertex(step[1:], allow_repeat_target=True)
+            g.eflag[eids[0]] = FLAG_T2
+            g.eflag[eids[1]] = FLAG_T1
+    if run:
+        g.replay_degree3_insertions(run, t2_pair)
+    return g
+
+
+def _peel(
+    d: DegreeSequence, k: int, hub_degree: int,
+    build: Callable[[DegreeSequence, str], LabeledMultigraph], mode: str, check_mode: str,
+) -> Tuple[LabeledMultigraph, int]:
+    """Drop ``k`` minima of ``d``, all of one value, and cut its maximum
+    down to ``hub_degree``; build the rest with ``build(rest, mode)``
+    after checking it in ``check_mode``.  Returns the graph and a vertex
+    of degree ``hub_degree``, the hub the caller regrows the peel on."""
+    red = d.copy()
+    low = red.min_degree
+    for _ in range(k):
+        if debug_asserts_enabled():
+            assert red.min_degree == low, red
+        red.remove_min_entry()
+    red.remove_entry_of_value(d.max_degree)
+    red.add_entry(hub_degree)
+    _debug_seq(red, check_mode)
+    g = build(red, mode)
+    return g, g.find_vertex_with_degree(hub_degree)
 
 
 def _debug_seq(cur: DegreeSequence, mode: str) -> None:
@@ -229,24 +291,21 @@ def _build_two_edst(d: DegreeSequence, mode: str) -> LabeledMultigraph:
     _require(d.total >= 4 * (n - 1), "sum must be at least 4(n-1)")
     _require(n >= 2 and d.min_degree >= 2, "need n >= 2 and min degree >= 2")
     cur = d.copy()
+    plan: List[tuple] = []
     # Multi mode first peels surplus edges and double lay-offs of a 2,
     # down to (2, 2) or to a tight sum with minimum 3, which is graphical
     # and takes the graphical descent below.
-    multi_plan: List[tuple] = []
     while mode == "multi" and (cur.n > 2 or cur.total > 4 * (cur.n - 1)):
+        d1 = cur.max_degree
+        d2 = cur.degree_at(2)
         if cur.total > 4 * (cur.n - 1):
             # Surplus edge between the two largest entries.
-            d1 = cur.max_degree
-            d2 = cur.degree_at(2)
-            multi_plan.append(("edge", d1 - 1, d2 - 1))
+            plan.append(("edge", d1 - 1, d2 - 1))
             cur.decrement_one_of_value(d1)
             cur.decrement_one_of_value(d2)
         elif cur.min_degree == 2:
-            # Double lay-off of the minimum; the replay may legitimately
-            # hit the same target twice, creating a parallel edge.
-            d1 = cur.max_degree
-            d2 = cur.degree_at(2)
-            multi_plan.append(("attach2", max(d1 - 1, d2) - 1, d1 - 1))
+            # Double lay-off of the minimum.
+            plan.append(("attach2", max(d1 - 1, d2) - 1, d1 - 1))
             cur.remove_min_entry()
             cur.decrement_one_of_value(d1)
             cur.decrement_one_of_value(cur.max_degree)
@@ -258,34 +317,22 @@ def _build_two_edst(d: DegreeSequence, mode: str) -> LabeledMultigraph:
     if cur.n == 2:
         if debug_asserts_enabled():
             assert cur.entries == [2, 2], cur
-        g = bases.instantiate(bases.MULTI_22, mode)
+        base = bases.MULTI_22
     else:
         _debug_seq(cur, "simple")
-        g = _two_edst_descent(cur, mode)
-    for step in reversed(multi_plan):
-        if step[0] == "attach2":
-            _attach_flagged(
-                g, [step[1], step[2]],
-                first_flag=FLAG_T2, second_flag=FLAG_T1, allow_repeat=True,
-            )
-        else:
-            _, a, b = step
-            u = g._bucket_pop_valid(a)
-            v = g._bucket_pop_valid(b, exclude={u})
-            g.add_edge(u, v, FLAG_NONE)
-    return g
+        _two_edst_descent(cur, plan)
+        base = bases.K4_EDST
+    return _replay(bases.attach(LabeledMultigraph(mode), base), plan)
 
 
-def _two_edst_descent(cur: DegreeSequence, mode: str) -> LabeledMultigraph:
-    """The graphical part of :func:`build_two_edst`, consuming ``cur``.
+def _two_edst_descent(cur: DegreeSequence, plan: List[tuple]) -> None:
+    """Record onto ``plan`` the graphical part of :func:`build_two_edst`,
+    consuming ``cur`` down to the all-3 sequence of the K4_EDST base.
 
-    ``cur`` is graphical with sum >= 4(n-1) and minimum degree >= 2; the
-    store takes ``mode``, so the multi descent's graphical remainder is
-    built here too.
+    ``cur`` is graphical with sum >= 4(n-1) and minimum degree >= 2.
+    The steps are ("split", old maximum, count) runs of degree-3
+    insertions and the lay-off steps of _lay_off_min.
     """
-    # The plan holds ("split", old maximum, count) runs of degree-3
-    # insertions and the lay-off steps of _lay_off_min.
-    plan: List[tuple] = []
     plan_append = plan.append
     dbg = debug_asserts_enabled()
     total = cur.total
@@ -310,23 +357,6 @@ def _two_edst_descent(cur: DegreeSequence, mode: str) -> LabeledMultigraph:
             _debug_seq(cur, "simple")
             assert cur.total >= 4 * (cur.n - 1) and cur.min_degree >= 2, cur
     assert cur.max_degree == 3, "n=4 base must be the all-3 sequence"
-    g = bases.instantiate(bases.K4_EDST, mode)
-    # A pair of vertex-disjoint tree-2 edges, maintained so a degree-3
-    # insertion always finds a tree-2 edge avoiding its tree-1 neighbor.
-    t2_pair = (3, 5)  # base edges (0,2) and (1,3)
-    plan.reverse()
-    run: List[int] = []
-    for step in plan:
-        if step[0] == "split":
-            run += [step[1]] * step[2]
-            continue
-        if run:
-            t2_pair = g.replay_degree3_insertions(run, t2_pair)
-            run.clear()
-        _replay_lay_off(g, step)
-    if run:
-        t2_pair = g.replay_degree3_insertions(run, t2_pair)
-    return g
 
 
 # --------------------------------------------------------------------------
@@ -359,22 +389,13 @@ def _one_shared_deg3(cur: DegreeSequence, mode: str) -> LabeledMultigraph:
         if debug_asserts_enabled():
             assert d1 == n - 3 and n >= 6, cur
         if n <= 8:
-            return bases.instantiate(bases.ONE_SHARED_DEG3[n], mode)
-        g = bases.instantiate(bases.ONE_SHARED_DEG3[6], mode)
+            return bases.attach(LabeledMultigraph(mode), bases.ONE_SHARED_DEG3[n])
+        g = bases.attach(LabeledMultigraph(mode), bases.ONE_SHARED_DEG3[6])
         _attach_wheel(g, hub=0, k=n - 6)
         return g
     # Second-largest entry >= 4: peel the maximum plus d1-1 threes down
     # to a pendant instance, then re-grow the maximum as a wheel hub.
-    red = cur.copy()
-    red.remove_entry_of_value(d1)
-    for _ in range(d1 - 1):
-        if debug_asserts_enabled():
-            assert red.min_degree == 3, red
-        red.remove_min_entry()
-    red.add_entry(1)
-    _debug_seq(red, "simple")
-    g = build_one_shared(red, mode)
-    hub = g.find_vertex_with_degree(1)
+    g, hub = _peel(cur, d1 - 1, 1, build_one_shared, mode, "simple")
     _attach_wheel(g, hub, k=d1 - 1)
     return g
 
@@ -409,13 +430,7 @@ def build_one_shared(d: DegreeSequence, mode: str = "simple") -> LabeledMultigra
     if d.min_degree == 1:
         # Pendant route: the rest has two edge-disjoint trees; the
         # pendant edge is the single shared edge.
-        d1 = d.max_degree
-        cur = d.copy()
-        cur.remove_min_entry()
-        cur.decrement_one_of_value(d1)
-        _debug_seq(cur, mode)
-        g = build_two_edst(cur, mode)
-        u = g.find_vertex_with_degree(d1 - 1)
+        g, u = _peel(d, 1, d.max_degree - 1, build_two_edst, mode, mode)
         w = g.add_vertex()
         g.add_edge(u, w, FLAG_BOTH)
         return g
@@ -443,31 +458,17 @@ def build_one_shared(d: DegreeSequence, mode: str = "simple") -> LabeledMultigra
     # minimum 3 and is graphical), then build a degree-3 base.
     cur = d.copy()
     plan: List[tuple] = []
-    while cur.min_degree == 2 and cur.n > 3:
-        plan.append(_lay_off_min(cur, cur.n - 3))
-        _debug_seq(cur, "simple")
+    _lay_off_twos(cur, plan, 3)
     if cur.n == 3:
-        g = bases.instantiate(bases.TRIANGLE_ONE_SHARED, mode)
+        g = bases.attach(LabeledMultigraph(mode), bases.TRIANGLE_ONE_SHARED)
     else:
         g = _one_shared_deg3(cur, mode)
-    for step in reversed(plan):
-        _replay_lay_off(g, step)
-    return g
+    return _replay(g, plan)
 
 
 # --------------------------------------------------------------------------
 # Central 4-cycle realizations (the m = 2n-4 boundary)
 # --------------------------------------------------------------------------
-
-
-def _attach_c4_gadget(g: LabeledMultigraph, hub: int) -> None:
-    """Attach the frozen 6-vertex hub gadget; its central 4-cycle
-    becomes the graph's central cycle."""
-    verts = [hub] + [g.add_vertex() for _ in range(6)]
-    flags = bases.tree_flags(len(bases.C4_GADGET_EDGES), bases.C4_GADGET_SPLIT)
-    for (a, b), flag in zip(bases.C4_GADGET_EDGES, flags):
-        g.add_edge(verts[a], verts[b], flag)
-    g.central_cycle = (verts[0], verts[1], verts[2], verts[3])
 
 
 def build_c4_pivotable(d: DegreeSequence, mode: str = "simple") -> LabeledMultigraph:
@@ -497,59 +498,30 @@ def build_c4_pivotable(d: DegreeSequence, mode: str = "simple") -> LabeledMultig
         # through the maximum-degree vertex.  Every other multi boundary
         # sequence is graphical with maximum below n-1 and takes the
         # graphical route below.
-        d1 = d.max_degree
-        red = d.copy()
-        for _ in range(3):
-            if debug_asserts_enabled():
-                assert red.min_degree == 2, red
-            red.remove_min_entry()
-        red.remove_entry_of_value(d1)
-        red.add_entry(d1 - 2)
-        _debug_seq(red, "multi")
-        g = build_two_edst(red, "multi")
-        hub = g.find_vertex_with_degree(d1 - 2)
-        x = g.add_vertex()
-        y = g.add_vertex()
-        z = g.add_vertex()
-        g.add_edge(hub, x, FLAG_T1)
-        g.add_edge(x, y, FLAG_BOTH)
-        g.add_edge(y, z, FLAG_BOTH)
-        g.add_edge(hub, z, FLAG_T2)
-        g.central_cycle = (hub, x, y, z)
-        return g
+        g, hub = _peel(d, 3, d.max_degree - 2, build_two_edst, mode, "multi")
+        return bases.attach(g, bases.MULTI_C4_GADGET, hub)
     cur = d.copy()
     plan: List[tuple] = []
-    while cur.min_degree == 2 and cur.n > 4:
-        plan.append(_lay_off_min(cur, cur.n - 4))
-        _debug_seq(cur, "simple")
-        if debug_asserts_enabled():
-            assert cur.max_degree < cur.n - 1, cur
+    _lay_off_twos(cur, plan, 4)
+    # A lay-off lowers n by one and the maximum by at most one, so this
+    # holds after every step if it holds at the end.
+    if debug_asserts_enabled():
+        assert cur.max_degree < cur.n - 1, cur
     if cur.n == 4:
-        g = bases.instantiate(bases.C4_BASE, mode)
+        g = bases.attach(LabeledMultigraph(mode), bases.C4_BASE)
     elif cur.max_degree <= 4:
         # Unique family (4, ..., 4, 3 x 8); grow from the frozen n=8 base
         # one merged cross-tree pair per new degree-4 vertex.
-        g = bases.instantiate(bases.C4_ALL3_8, mode)
+        g = bases.attach(LabeledMultigraph(mode), bases.C4_ALL3_8)
         g.matching_pairs = g.replay_c4_merges(
             cur.n - 8, bases.C4_ALL3_8["pairs"])
     else:
         # Large maximum: peel six 3s and two units of the maximum, build
-        # edge-disjoint trees, then attach the hub gadget.
-        d1 = cur.max_degree
-        red = cur.copy()
-        for _ in range(6):
-            if debug_asserts_enabled():
-                assert red.min_degree == 3, red
-            red.remove_min_entry()
-        red.remove_entry_of_value(d1)
-        red.add_entry(d1 - 2)
-        _debug_seq(red, "simple")
-        g = build_two_edst(red, mode)
-        hub = g.find_vertex_with_degree(d1 - 2)
-        _attach_c4_gadget(g, hub)
-    for step in reversed(plan):
-        _replay_lay_off(g, step)
-    return g.finish()
+        # edge-disjoint trees, then attach the hub gadget, whose central
+        # 4-cycle becomes the graph's.
+        g, hub = _peel(cur, 6, cur.max_degree - 2, build_two_edst, mode, "simple")
+        bases.attach(g, bases.C4_GADGET, hub)
+    return _replay(g, plan).finish()
 
 
 # --------------------------------------------------------------------------
@@ -656,26 +628,17 @@ def realize_nonstrict(d: DegreeSequence, mode: str = "simple") -> RealizeResult:
     decision = _nonstrict_decision(d, mode)
     if not decision.realizable:
         return RealizeResult(decision)
-    n = d.n
     cur = d.copy()
+    plan: List[tuple] = []
     if mode == "simple":
-        # Repeatedly lay off the minimum entry, then replay as vertex
-        # attachments onto the residual isolated vertices.
-        plan: List[List[Tuple[int, int]]] = []
+        # Lay off the minimum entry (a run of 2s at once) down to
+        # isolated vertices, replayed as vertex attachments onto them.
         while cur.total > 0:
-            plan.append(_top_after_min_removal(cur, cur.min_degree))
-            lay_off_graphical(cur)
-        g = LabeledMultigraph(mode)
-        for _ in range(cur.n):
-            g.add_vertex()
-        for targets in reversed(plan):
-            g.attach_vertex([v for v, c in targets for _ in range(c)])
+            plan.append(_lay_off_min(cur, cur.n))
     else:
         # Peel single edges between the largest and the smallest
-        # positive entries, then replay them.  Zeros collect in the tail
-        # bucket, so the smallest positive entry is the tail or the
-        # bucket before it.
-        edge_plan: List[Tuple[int, int]] = []
+        # positive entries.  Zeros collect in the tail bucket, so the
+        # smallest positive entry is the tail or the bucket before it.
         while cur.total > 0:
             d1 = cur.max_degree
             last = cur.tail
@@ -686,18 +649,17 @@ def realize_nonstrict(d: DegreeSequence, mode: str = "simple") -> RealizeResult:
             vj = last.value
             if idx < 2:
                 raise GraphError("multigraph residual degenerated")
-            edge_plan.append((d1 - 1, vj - 1))
+            plan.append(("edge", d1 - 1, vj - 1))
             cur.decrement_one_of_value(d1)
             cur.decrement_one_of_value(vj)
-        g = LabeledMultigraph(mode)
-        for _ in range(n):
-            g.add_vertex()
-        for a, b in reversed(edge_plan):
-            u = g._bucket_pop_valid(a)
-            v = g._bucket_pop_valid(b, exclude={u})
-            g.add_edge(u, v)
-    if n >= 2:
+    g = LabeledMultigraph(mode)
+    for _ in range(cur.n):
+        g.add_vertex()
+    _replay(g, plan)
+    if d.n >= 2:
         _connect_components(g)
+    # The lay-offs flag tree edges, but non-strict outputs carry no trees.
+    g.eflag[:] = [FLAG_NONE] * g.num_edges
     g.elabel[:] = [1] * g.num_edges
     labeling = TemporalLabeling(1 if g.num_edges else 0)
     if debug_asserts_enabled():

@@ -121,7 +121,7 @@ def find_c4_base(degrees):
 def find_c4_gadget_split():
     """Split of the 10 hub-gadget edges into two 6-edge trees sharing
     exactly two central-cycle edges."""
-    edges = bases.C4_GADGET_EDGES
+    edges = bases.C4_GADGET["edges"]
     n = 7
     ring = [0, 1, 2, 3]
     for shared in itertools.combinations(ring, 2):
@@ -166,9 +166,9 @@ def test_c4_all3_fixture_rederives():
 
 def test_c4_gadget_split_rederives():
     s1, s2, shared = find_c4_gadget_split()
-    assert s1 == bases.C4_GADGET_SPLIT["tree1"]
-    assert s2 == bases.C4_GADGET_SPLIT["tree2"]
-    assert shared == bases.C4_GADGET_SPLIT["shared"]
+    assert s1 == bases.C4_GADGET["tree1"]
+    assert s2 == bases.C4_GADGET["tree2"]
+    assert shared == bases.C4_GADGET["shared"]
 
 
 # -- structural validity -----------------------------------------------------
@@ -182,11 +182,13 @@ def fixture_graphs():
     for n, fx in bases.ONE_SHARED_DEG3.items():
         yield f"one_shared_{n}", fx, "simple"
     yield "c4_all3_8", bases.C4_ALL3_8, "simple"
+    yield "c4_gadget", bases.C4_GADGET, "simple"
+    yield "multi_c4_gadget", bases.MULTI_C4_GADGET, "multi"
 
 
 def test_every_fixture_instantiates_validly():
     for name, fx, mode in fixture_graphs():
-        g = bases.instantiate(fx, mode)
+        g = bases.attach(LabeledMultigraph(mode), fx)
         assert g.validate(), name
         cert = g.certificate_from_flags()
         assert cert.tree1 == set(fx["tree1"]), name
@@ -205,9 +207,11 @@ def test_fixture_degree_multisets():
         "one_shared_7": [4, 3, 3, 3, 3, 3, 3],
         "one_shared_8": [5, 3, 3, 3, 3, 3, 3, 3],
         "c4_all3_8": [3] * 8,
+        "c4_gadget": [3] * 6 + [2],
+        "multi_c4_gadget": [2] * 4,
     }
     for name, fx, mode in fixture_graphs():
-        g = bases.instantiate(fx, mode)
+        g = bases.attach(LabeledMultigraph(mode), fx)
         assert sorted(g.degrees(), reverse=True) == expected[name], name
 
 
@@ -215,16 +219,16 @@ def test_gadget_trees_span_from_hub():
     g = LabeledMultigraph("simple")
     for _ in range(7):
         g.add_vertex()
-    for u, v in bases.C4_GADGET_EDGES:
+    for u, v in bases.C4_GADGET["edges"]:
         g.add_edge(u, v)
     for key in ("tree1", "tree2"):
-        ids = bases.C4_GADGET_SPLIT[key]
-        assert is_spanning_tree(7, bases.C4_GADGET_EDGES, ids)
-    shared = set(bases.C4_GADGET_SPLIT["tree1"]) & set(
-        bases.C4_GADGET_SPLIT["tree2"]
+        ids = bases.C4_GADGET[key]
+        assert is_spanning_tree(7, bases.C4_GADGET["edges"], ids)
+    shared = set(bases.C4_GADGET["tree1"]) & set(
+        bases.C4_GADGET["tree2"]
     )
-    assert shared == set(bases.C4_GADGET_SPLIT["shared"])
-    covered = set(bases.C4_GADGET_SPLIT["tree1"]) | set(
-        bases.C4_GADGET_SPLIT["tree2"]
+    assert shared == set(bases.C4_GADGET["shared"])
+    covered = set(bases.C4_GADGET["tree1"]) | set(
+        bases.C4_GADGET["tree2"]
     )
     assert covered == set(range(10))

@@ -399,6 +399,20 @@ def test_verify_rejects_deeply_nested_json(capsys, tmp_path):
     assert err.startswith("cannot load graph: invalid JSON: ")
 
 
+@pytest.mark.parametrize("data, expected", [
+    (b"\xff\xfe{}", "cannot load graph: 'utf-8' codec can't decode byte 0xff"),
+    (b'{"mode": "simple", "n": ' + b"1" * 5000 + b', "edges": []}',
+     "cannot load graph: invalid JSON: "),
+], ids=["not-utf-8", "integer-over-digit-limit"])
+def test_verify_reports_unreadable_documents_as_load_errors(capsys, tmp_path, data, expected):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(expected)
+
+
 # Integers stay small: a document's n is allocated up front, and capping
 # it is a separate open item.
 JSON_VALUES = st.recursive(

@@ -202,8 +202,8 @@ def replace_edge_with_degree3_vertex(g, u, pick):
     g.elabel += (None, None, None)
     vdeg.append(3)
     vdeg[u] += 1
-    g._bucket_push(vdeg[u], u)
-    g._bucket_push(3, w)
+    g._buckets[vdeg[u]].append(u)
+    g._buckets[3].append(w)
     return w, e1 + 1
 
 
@@ -295,8 +295,8 @@ def _valid_pop_order(g, deg):
 def test_replay_c4_merges_matches_single_steps(mode):
     start = bases.C4_ALL3_8["pairs"]
     for k in range(301):
-        batched = bases.instantiate(bases.C4_ALL3_8, mode)
-        stepped = bases.instantiate(bases.C4_ALL3_8, mode)
+        batched = bases.attach(LabeledMultigraph(mode), bases.C4_ALL3_8)
+        stepped = bases.attach(LabeledMultigraph(mode), bases.C4_ALL3_8)
         pairs = batched.replay_c4_merges(k, start)
         step_pairs = [list(p) for p in start]
         for _ in range(k):
@@ -427,7 +427,7 @@ def test_finish_twice_changes_nothing():
 
 @pytest.mark.parametrize("mode", ["simple", "multi"])
 def test_finish_renumbers_the_matching_pairs(mode):
-    g = bases.instantiate(bases.C4_ALL3_8, mode)
+    g = bases.attach(LabeledMultigraph(mode), bases.C4_ALL3_8)
     pairs = g.replay_c4_merges(992, bases.C4_ALL3_8["pairs"])
     ends = [[(g.eu[e], g.ev[e], g.eflag[e]) for e in pair] for pair in pairs]
     g.matching_pairs = pairs

@@ -32,14 +32,14 @@ def test_single_shared_edge_k2():
 
 
 def test_k4_edge_disjoint_trees():
-    g = bases.instantiate(bases.K4_EDST, "simple")
+    g = bases.attach(LabeledMultigraph("simple"), bases.K4_EDST)
     lab = pivot_label(g)
     assert is_simple(g) and is_proper(g) and is_tc(g)
     assert lab.max_label <= 2 * g.n + 2
 
 
 def test_central_cycle_gets_two_consecutive_labels():
-    g = bases.instantiate(bases.C4_BASE, "simple")
+    g = bases.attach(LabeledMultigraph("simple"), bases.C4_BASE)
     pivot_label(g)
     ring_labels = sorted({g.elabel[e] for e in range(4)})
     # Four ring edges share exactly two labels, one per opposite pair.
