@@ -339,12 +339,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # flush at exit cannot fail again, and exit quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    except (GraphError, AssertionError) as exc:  # before ValueError, its base
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:  # malformed sequences and similar input issues
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (GraphError, AssertionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

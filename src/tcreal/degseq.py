@@ -6,6 +6,12 @@ decreasing values, which makes laying off an entry of value ``d`` an
 ``O(d)`` operation instead of a re-sort.  Runs of equal steps take O(1)
 in all: ``split_max_and_drop_min_run`` for the tight degree-3 steps and
 ``lay_off_two_run`` for the lay-offs of 2s onto a repeated maximum.
+
+Every mutation is a few calls of two bucket primitives: ``_put`` adds
+entries just below a bucket, merging into the next one when it holds the
+same value, and ``_drop`` removes entries, unlinking an emptied bucket.
+A lay-off returns the ``(new value, count)`` runs the laid-off entry
+joined, which is what a builder needs to replay it on a graph.
 """
 
 from __future__ import annotations
@@ -60,8 +66,8 @@ class DegreeSequence:
     """A non-increasing sequence of non-negative integer degrees.
 
     ``entries`` is materialized on demand; the buckets are authoritative.
-    Laying off mutates the sequence in place and returns it, so chained
-    reductions never pay for copies.
+    Laying off mutates the sequence in place, so chained reductions never
+    pay for copies, and returns the runs of entries it decremented.
     """
 
     __slots__ = ("head", "tail", "n", "total")
@@ -73,7 +79,7 @@ class DegreeSequence:
         self.total = 0
         self._splice_counts(Counter(values))
 
-    # -- construction helpers -------------------------------------------------
+    # -- bucket primitives ----------------------------------------------------
 
     def _splice_counts(self, counts: Mapping[int, int]) -> None:
         """Fill an empty sequence from ``counts`` (value -> multiplicity),
@@ -81,36 +87,53 @@ class DegreeSequence:
         if counts and min(counts) < 0:
             raise ValueError("degrees must be non-negative")
         for v in sorted(counts, reverse=True):
-            self._splice_tail(v, counts[v])
+            self._put(self.tail, v, counts[v])
 
-    def _unlink(self, node: _Bucket) -> None:
-        if node.prev is None:
-            self.head = node.next
+    def _put(self, after: _Bucket | None, value: int, count: int) -> None:
+        """Add ``count`` entries of ``value`` just below bucket ``after``
+        (at the head when None), merging into the next bucket when it
+        holds ``value``."""
+        nxt = self.head if after is None else after.next
+        if nxt is not None and nxt.value == value:
+            nxt.count += count
         else:
-            node.prev.next = node.next
-        if node.next is None:
-            self.tail = node.prev
-        else:
-            node.next.prev = node.prev
-
-    def _insert_after(self, node: _Bucket | None, value: int, count: int) -> _Bucket:
-        new = _Bucket(value, count)
-        if node is None:  # insert at head
-            new.next = self.head
-            if self.head is not None:
-                self.head.prev = new
-            self.head = new
-            if self.tail is None:
-                self.tail = new
-        else:
-            new.next = node.next
-            new.prev = node
-            if node.next is not None:
-                node.next.prev = new
+            new = _Bucket(value, count)
+            new.prev, new.next = after, nxt
+            if after is None:
+                self.head = new
             else:
+                after.next = new
+            if nxt is None:
                 self.tail = new
-            node.next = new
-        return new
+            else:
+                nxt.prev = new
+        self.n += count
+        self.total += value * count
+
+    def _drop(self, node: _Bucket, count: int) -> None:
+        """Remove ``count`` entries of bucket ``node``, unlinking it once
+        it is empty."""
+        node.count -= count
+        self.n -= count
+        self.total -= node.value * count
+        if node.count == 0:
+            if node.prev is None:
+                self.head = node.next
+            else:
+                node.prev.next = node.next
+            if node.next is None:
+                self.tail = node.prev
+            else:
+                node.next.prev = node.prev
+
+    def _find(self, value: int) -> _Bucket:
+        """The bucket holding ``value``."""
+        node = self.head
+        while node is not None and node.value > value:
+            node = node.next
+        if node is None or node.value != value:
+            raise ValueError(f"no entry of value {value}")
+        return node
 
     # -- read access ----------------------------------------------------------
 
@@ -168,19 +191,8 @@ class DegreeSequence:
     def copy(self) -> "DegreeSequence":
         dup = DegreeSequence()
         for v, c in self.iter_buckets():
-            dup._splice_tail(v, c)
+            dup._put(dup.tail, v, c)
         return dup
-
-    def _splice_tail(self, value: int, count: int) -> None:
-        node = _Bucket(value, count)
-        node.prev = self.tail
-        if self.tail is None:
-            self.head = node
-        else:
-            self.tail.next = node
-        self.tail = node
-        self.n += count
-        self.total += value * count
 
     def __len__(self) -> int:
         return self.n
@@ -203,29 +215,15 @@ class DegreeSequence:
 
     def remove_entry_of_value(self, value: int) -> None:
         """Remove one entry of exactly ``value``."""
-        node = self.head
-        while node is not None and node.value > value:
-            node = node.next
-        if node is None or node.value != value:
-            raise ValueError(f"no entry of value {value}")
-        node.count -= 1
-        if node.count == 0:
-            self._unlink(node)
-        self.n -= 1
-        self.total -= value
+        self._drop(self._find(value), 1)
 
     def remove_min_entry(self) -> int:
         """Remove one entry of the minimum value in O(1); returns it."""
         node = self.tail
         if node is None:
             raise ValueError("cannot remove from an empty sequence")
-        value = node.value
-        node.count -= 1
-        if node.count == 0:
-            self._unlink(node)
-        self.n -= 1
-        self.total -= value
-        return value
+        self._drop(node, 1)
+        return node.value
 
     def add_entry(self, value: int) -> None:
         """Insert one entry, keeping the sort order."""
@@ -234,91 +232,45 @@ class DegreeSequence:
         prev: _Bucket | None = None
         node = self.head
         while node is not None and node.value > value:
-            prev = node
-            node = node.next
-        if node is not None and node.value == value:
-            node.count += 1
-        else:
-            self._insert_after(prev, value, 1)
-        self.n += 1
-        self.total += value
+            prev, node = node, node.next
+        self._put(prev, value, 1)
 
-    def decrement_top(self, k: int) -> None:
+    def decrement_top(self, k: int) -> List[Tuple[int, int]]:
         """Decrement the k largest entries by one each, keeping sort order.
 
-        O(k) bucket work: only buckets overlapping the top-k prefix change.
+        Returns the ``(new value, count)`` runs moved, largest first.
+        O(k) bucket work: only buckets overlapping the top-k prefix
+        change.  Raises ``ValueError``, with nothing changed, if k > n
+        or a 0 is among the top k.
         """
-        if k == 0:
-            return
         if k > self.n:
             raise ValueError(f"cannot decrement top {k} of {self.n} entries")
-        # Collect the affected prefix as (value, count, take) triples.
-        affected: List[Tuple[int, int, int]] = []
+        nodes: List[_Bucket] = []
+        runs: List[Tuple[int, int]] = []
         node = self.head
-        rem = k
-        while rem > 0:
-            assert node is not None
-            take = min(node.count, rem)
-            affected.append((node.value, node.count, take))
-            rem -= take
+        while k > 0:
+            take = min(node.count, k)
+            nodes.append(node)
+            runs.append((node.value - 1, take))
+            k -= take
             node = node.next
-        boundary = node  # first untouched bucket (may be None)
-        if affected[-1][0] == 0:
+        if runs and runs[-1][0] < 0:
             raise ValueError("cannot decrement a zero entry")
-        # Rebuild the prefix: each bucket (v, c, t) becomes (v, c-t), (v-1, t).
-        pairs: List[List[int]] = []
-        for v, c, t in affected:
-            for val, cnt in ((v, c - t), (v - 1, t)):
-                if cnt == 0:
-                    continue
-                if pairs and pairs[-1][0] == val:
-                    pairs[-1][1] += cnt
-                else:
-                    pairs.append([val, cnt])
-        if boundary is not None and pairs and pairs[-1][0] == boundary.value:
-            boundary.count += pairs.pop()[1]
-        # Splice the rebuilt prefix in front of the boundary.
-        prev: _Bucket | None = None
-        new_head: _Bucket | None = None
-        for val, cnt in pairs:
-            b = _Bucket(val, cnt)
-            b.prev = prev
-            if prev is None:
-                new_head = b
-            else:
-                prev.next = b
-            prev = b
-        if prev is None:
-            new_head = boundary
-            if boundary is not None:
-                boundary.prev = None
-        else:
-            prev.next = boundary
-            if boundary is not None:
-                boundary.prev = prev
-        self.head = new_head
-        if boundary is None:
-            self.tail = prev
-        self.total -= k
+        # Bottom up, so a bucket moving down to v - 1 never merges into a
+        # bucket of v - 1 that has still to move: the partial last bucket
+        # first, then each whole bucket above it.
+        for node, (value, take) in zip(reversed(nodes), reversed(runs)):
+            self._put(node, value, take)
+            self._drop(node, take)
+        return runs
 
     def decrement_one_of_value(self, value: int) -> None:
         """Decrement a single entry of exactly ``value`` by one."""
         if value <= 0:
             raise ValueError("cannot decrement an entry of value <= 0")
-        node = self.head
-        while node is not None and node.value > value:
-            node = node.next
-        if node is None or node.value != value:
-            raise ValueError(f"no entry of value {value}")
-        node.count -= 1
-        target = node.next
-        if target is not None and target.value == value - 1:
-            target.count += 1
-        else:
-            self._insert_after(node, value - 1, 1)
-        if node.count == 0:
-            self._unlink(node)
-        self.total -= 1
+        node = self._find(value)
+        self._put(node, value - 1, 1)
+        self._drop(node, 1)
 
     def split_max_and_drop_min_run(self, limit: int) -> Tuple[int, int]:
         """Take k steps at once, in O(1), each decrementing one copy of
@@ -340,27 +292,12 @@ class DegreeSequence:
         if value <= 0:
             raise ValueError("cannot decrement an entry of value <= 0")
         k = min(limit, head.count)
-        if head is tail:
-            # All entries equal: each step's split entry is the one dropped.
-            dropped = value - 1
-        elif value - 1 == tail.value:
-            # Each split entry joins the minimum bucket as one leaves it.
-            dropped = tail.value
-        else:
-            dropped = tail.value
+        if head is not tail and tail.value != value - 1:
+            # The minimum bucket runs out unless each split entry joins it.
             k = min(k, tail.count)
-            below = head.next
-            if below is None or below.value != value - 1:
-                below = self._insert_after(head, value - 1, 0)
-            below.count += k
-            tail.count -= k
-            if tail.count == 0:
-                self._unlink(tail)
-        head.count -= k
-        if head.count == 0:
-            self._unlink(head)
-        self.n -= k
-        self.total -= k * (1 + dropped)
+        self._put(head, value - 1, k)
+        self._drop(head, k)
+        self._drop(self.tail, k)  # the split entries, if all were equal
         return value, k
 
     def lay_off_two_run(self, limit: int) -> Tuple[int, int]:
@@ -380,18 +317,9 @@ class DegreeSequence:
             return 0, 0
         value = head.value - 1
         k = min(limit, head.count // 2, tail.count)
-        below = head.next
-        if below.value != value:  # the 2s lie below, so head.next exists
-            below = self._insert_after(head, value, 0)
-        below.count += 2 * k
-        head.count -= 2 * k
-        if head.count == 0:
-            self._unlink(head)
-        tail.count -= k
-        if tail.count == 0:
-            self._unlink(tail)
-        self.n -= k
-        self.total -= 4 * k
+        self._put(head, value, 2 * k)
+        self._drop(head, 2 * k)
+        self._drop(tail, k)
         return value, k
 
     def _check_consistency(self) -> None:
@@ -470,18 +398,19 @@ def is_multigraphical(d: DegreeSequence) -> bool:
     return d.max_degree <= d.total - d.max_degree
 
 
-def lay_off_graphical(d: DegreeSequence) -> DegreeSequence:
+def lay_off_graphical(d: DegreeSequence) -> List[Tuple[int, int]]:
     """Remove the last (minimum) entry d_n and decrement the largest d_n
-    remaining entries.  Mutates ``d`` in place and returns it; O(d_n)
-    bucket work."""
+    remaining entries, in place, in O(d_n) bucket work.  Returns the
+    ``(new value, count)`` runs the laid-off entry joins, largest first
+    (``decrement_top``)."""
     value = d.min_degree
     if value >= d.n:
         raise ValueError(f"entry {value} cannot connect to {value} distinct other vertices")
     d.remove_min_entry()
-    d.decrement_top(value)
+    runs = d.decrement_top(value)
     if debug_asserts_enabled():
         d._check_consistency()
-    return d
+    return runs
 
 
 def _shown(token: str) -> str:

@@ -161,36 +161,13 @@ def check_tc_realizable(d: DegreeSequence, mode: str = "simple") -> Decision:
 # --------------------------------------------------------------------------
 
 
-def _top_after_min_removal(cur: DegreeSequence, k: int) -> List[Tuple[int, int]]:
-    """Compressed (value-1, count) list of the k largest entries after
-    dropping one entry of the minimum value."""
-    out: List[Tuple[int, int]] = []
-    rem = k
-    minv = cur.min_degree
-    for v, c in cur.iter_buckets():
-        if v == minv:
-            c -= 1
-        if c <= 0:
-            continue
-        take = min(c, rem)
-        out.append((v - 1, take))
-        rem -= take
-        if rem == 0:
-            break
-    if rem:
-        raise GraphError("not enough entries to connect the laid-off vertex")
-    return out
-
-
 def _lay_off_min(cur: DegreeSequence, limit: int) -> tuple:
     """Lay off the minimum entry of ``cur``, or a run of up to ``limit``
     2s in one ``lay_off_two_run``; returns the "attach" or "pairs" step."""
     x, k = cur.lay_off_two_run(limit)
     if k:
         return ("pairs", x, k)
-    step = ("attach", _top_after_min_removal(cur, cur.tail.value))
-    lay_off_graphical(cur)
-    return step
+    return ("attach", lay_off_graphical(cur))
 
 
 def _lay_off_twos(cur: DegreeSequence, plan: List[tuple], floor: int) -> None:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import tcreal
 from tcreal.cli import main
 from tcreal.degseq import DegreeSequence
-from tcreal.graphstore import LabeledMultigraph
+from tcreal.graphstore import GraphError, LabeledMultigraph
 from tcreal.realize import realize_tc
 
 from conftest import LARGE_FAMILIES, live_incidence, to_json_dict
@@ -241,6 +241,19 @@ def test_build_self_verify_failure_names_the_reason(capsys, monkeypatch):
         "internal error: self-verification failed: "
         f"edges {e} and {f} at vertex 0 share label {g.elabel[e]}\n"
     )
+
+
+def test_build_reports_a_library_graph_error_as_internal(capsys, monkeypatch):
+    # GraphError subclasses ValueError, yet it is an internal fault (exit 3),
+    # not an input error (exit 2).
+    def fail(d, mode):
+        raise GraphError("no available vertex of degree 7")
+
+    monkeypatch.setattr("tcreal.cli.realize_tc", fail)
+    code, out, err = run(capsys, "build", "4", "4", "4", "4", "2", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: no available vertex of degree 7\n"
 
 
 # -- verify ---------------------------------------------------------------

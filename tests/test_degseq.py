@@ -131,12 +131,34 @@ def test_add_entry_keeps_order():
 
 def test_decrement_top():
     d = DegreeSequence([4, 4, 3, 2])
-    d.decrement_top(3)
+    assert d.decrement_top(3) == [(3, 2), (2, 1)]
     assert d.entries == [3, 3, 2, 2]
-    d.decrement_top(0)
+    assert d.decrement_top(0) == []
     assert d.entries == [3, 3, 2, 2]
     with pytest.raises(ValueError):
         DegreeSequence([1, 0]).decrement_top(2)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=6), max_size=14))
+def test_decrement_top_matches_a_sorted_list(values):
+    s = sorted(values, reverse=True)
+    for k in range(len(s) + 2):
+        d = DegreeSequence(values)
+        if k > len(s) or (k and s[k - 1] == 0):
+            before = list(d.iter_buckets())
+            with pytest.raises(ValueError):
+                d.decrement_top(k)
+            assert list(d.iter_buckets()) == before
+            assert (d.n, d.total) == (len(s), sum(s))
+            d._check_consistency()
+            continue
+        top = [x - 1 for x in s[:k]]
+        runs = d.decrement_top(k)
+        assert runs == [(v, len(list(g))) for v, g in itertools.groupby(top)]
+        expect = sorted(top + s[k:], reverse=True)
+        assert d.entries == expect
+        assert (d.n, d.total) == (len(expect), sum(expect))
+        d._check_consistency()
 
 
 def test_decrement_one_of_value():
@@ -313,7 +335,8 @@ def test_lay_off_graphical_preserves_graphicality():
                 red = lay_off_at(DegreeSequence(tup), i)
                 assert red.n == n - 1
                 assert is_graphical(red), (tup, i)
-            assert lay_off_graphical(d) == red, tup
+            lay_off_graphical(d)
+            assert d == red, tup
 
 
 def test_lay_off_errors():
@@ -336,13 +359,37 @@ def graphical_sequences(draw):
     return degrees
 
 
+def top_after_min_removal(d, k):
+    """Reference runs of a lay-off: the compressed (value - 1, count) list
+    of the k largest entries after dropping one entry of the minimum."""
+    out = []
+    rem = k
+    minv = d.min_degree
+    for v, c in d.iter_buckets():
+        if v == minv:
+            c -= 1
+        if c <= 0:
+            continue
+        take = min(c, rem)
+        out.append((v - 1, take))
+        rem -= take
+        if rem == 0:
+            break
+    assert rem == 0, "not enough entries to connect the laid-off vertex"
+    return out
+
+
 @given(graphical_sequences())
 def test_tail_lay_off_matches_the_generic_path(values):
     d = DegreeSequence(values)
     generic = lay_off_at(d.copy(), d.n)
-    lay_off_graphical(d)
+    low = d.min_degree
+    expected_runs = top_after_min_removal(d, low)
+    runs = lay_off_graphical(d)
     d._check_consistency()
     assert d == generic
+    if low >= 1:
+        assert runs == expected_runs
 
 
 # -- parsing ------------------------------------------------------------------

@@ -16,11 +16,14 @@ simple-mode case is also checked here for a repeated endpoint pair.
 ``realize_nonstrict`` is pinned the same way, by its own digest over a
 smaller corpus: its outputs carry no central cycle, and each case hashes
 ``(mode, entries, reason, max_label, edges)``.
+
+Both corpora run twice, with the debug asserts off and on, so every
+lay-off over the corpus also checks its buckets' consistency.
 """
 
 import hashlib
 
-from tcreal.degseq import DegreeSequence
+from tcreal.degseq import DegreeSequence, debug_asserts_enabled, set_debug_asserts
 from tcreal.realize import realize_nonstrict, realize_tc
 from tcreal.verify import enumerate_sequences
 
@@ -58,14 +61,34 @@ def case_record(mode, d):
             res.labeling.max_label, g.central_cycle, edges)
 
 
-def test_golden_corpus_digest():
+def corpus_digest(record, **limits):
+    """(number of cases, sha256 hex digest) of ``record`` over the corpus."""
     digest = hashlib.sha256()
     cases = 0
-    for mode, d in corpus():
-        digest.update(repr(case_record(mode, d)).encode())
+    for mode, d in corpus(**limits):
+        digest.update(repr(record(mode, d)).encode())
         cases += 1
-    assert cases == GOLDEN_CASES
-    assert digest.hexdigest() == GOLDEN_DIGEST
+    return cases, digest.hexdigest()
+
+
+def digest_with_and_without_debug_asserts(record, **limits):
+    """``corpus_digest`` with the debug asserts off, then on (each
+    lay-off checks its buckets); the switch is restored after each run."""
+    runs = []
+    for debug in (False, True):
+        saved = debug_asserts_enabled()
+        set_debug_asserts(debug)
+        try:
+            runs.append(corpus_digest(record, **limits))
+        finally:
+            set_debug_asserts(saved)
+    return runs
+
+
+def test_golden_corpus_digest():
+    for cases, digest in digest_with_and_without_debug_asserts(case_record):
+        assert cases == GOLDEN_CASES
+        assert digest == GOLDEN_DIGEST
 
 
 def nonstrict_record(mode, d):
@@ -79,10 +102,7 @@ def nonstrict_record(mode, d):
 
 
 def test_nonstrict_corpus_digest():
-    digest = hashlib.sha256()
-    cases = 0
-    for mode, d in corpus(simple_below=9, multi_below=7):
-        digest.update(repr(nonstrict_record(mode, d)).encode())
-        cases += 1
-    assert cases == NONSTRICT_CASES
-    assert digest.hexdigest() == NONSTRICT_DIGEST
+    for cases, digest in digest_with_and_without_debug_asserts(
+            nonstrict_record, simple_below=9, multi_below=7):
+        assert cases == NONSTRICT_CASES
+        assert digest == NONSTRICT_DIGEST
