@@ -43,7 +43,7 @@ def main() -> None:
         g, lab = result.graph, result.labeling
         cert = g.certificate_from_flags()
         print(f"  built {g.n} vertices, {g.num_edges} edges, "
-              f"max label {lab.max_label} (bound 2n+2 = {2 * d.n + 2})")
+              f"max label {lab.max_label} (bound m+2 = {g.num_edges + 2})")
         print(f"  certificate: |T1|={len(cert.tree1)} |T2|={len(cert.tree2)} "
               f"shared={sorted(cert.shared)}")
         for e in sorted(g.edge_ids()):

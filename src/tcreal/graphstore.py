@@ -83,18 +83,12 @@ class GraphError(ValueError):
 @dataclass
 class Certificate:
     """A read-only view, as edge-id sets, of the certificate a graph's
-    tree flags and core hold: two spanning trees plus the shared core.
-
-    ``matching_pairs`` is construction-internal bookkeeping for the
-    boundary induction; each pair holds one tree-1 edge and one tree-2
-    edge, neither on the central cycle, forming a matching.
-    """
+    tree flags and core hold: two spanning trees plus the shared core."""
 
     tree1: Set[int] = field(default_factory=set)
     tree2: Set[int] = field(default_factory=set)
     shared: Set[int] = field(default_factory=set)
     central_cycle: Optional[Tuple[int, int, int, int]] = None
-    matching_pairs: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
 
 
 class LabeledMultigraph:
@@ -112,8 +106,6 @@ class LabeledMultigraph:
         self.vdeg: List[int] = []
         self._buckets: DefaultDict[int, List[int]] = defaultdict(list)
         self.central_cycle: Optional[Tuple[int, int, int, int]] = None
-        # Set by the all-3 boundary construction; see Certificate.
-        self.matching_pairs: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
 
     # -- basic accessors ------------------------------------------------------
 
@@ -156,10 +148,6 @@ class LabeledMultigraph:
         n = len(self.vdeg)
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"unknown endpoint in ({u}, {v})")
-        return self._append_edge(u, v, flag)
-
-    def _append_edge(self, u: int, v: int, flag: int) -> int:
-        """Add edge u-v; the caller guarantees u != v, both in range."""
         e = len(self.eu)
         self.eu.append(u)
         self.ev.append(v)
@@ -315,53 +303,60 @@ class LabeledMultigraph:
             e += 4
         return (e1, e2), (f1, f2)
 
-    def attach_pair_run(self, x: int, k: int) -> None:
-        """Add ``k`` vertices, each joined by a tree-1 and then a tree-2
-        edge to two vertices of degree ``x``, as ``k`` calls of
-        ``attach_vertex([x, x])`` do with those flags set.
+    def attach_run(self, targets: Sequence[int], k: int = 1) -> int:
+        """Add ``k`` vertices, each joined to one vertex of each degree in
+        ``targets``, looked up in order as the degrees change; returns the
+        id of the first new edge.
 
-        This replays a run of ``lay_off_two_run``.  With x >= 3 a new
-        vertex (degree <= 2) is never a target, and no step pops the
-        buckets the steps push to (x + 1 and each new vertex's 0, 1, 2),
-        so the loop only pops the 2k targets from bucket x; the per-edge
-        lists and the other buckets are extended once, in the order the
-        single steps push to them.  Raises ``GraphError`` when bucket x
-        runs dry, keeping the steps done.
+        This replays ``k`` lay-offs of one shape.  A new vertex with two
+        or more targets gets tree-1 and tree-2 flags on its first two
+        edges.  A new vertex is never its own target.  It can be found
+        valid only by a lookup at the degree it has just reached, where
+        its own last push left it on top, so that lookup pops from below
+        it.  Other repeats are left to the order: a target found at
+        degree x moves to x + 1, so targets listed largest first are
+        distinct, while an ascending pair may meet one vertex twice
+        (multi mode).  Degrees and buckets change per edge as single
+        steps change them, target before new vertex; the per-edge lists
+        are extended once.  Raises ``GraphError`` when a bucket runs dry,
+        keeping the edges added.
         """
-        if x < 3:
-            raise GraphError(f"a pair run needs target degree >= 3, got {x}")
         vdeg = self.vdeg
         buckets = self._buckets
-        bucket = buckets.get(x, [])
-        targets: List[int] = []
-        pop = bucket.pop
-        take = targets.append
-        for _ in range(2 * k):
-            while bucket:
-                u = pop()
-                if vdeg[u] == x:
-                    break
-            else:
-                break
-            vdeg[u] = x + 1
-            take(u)
-        if len(targets) & 1:  # half a step: put its target back
-            u = targets.pop()
-            vdeg[u] = x
-            bucket.append(u)
-        done = len(targets) // 2
         w0 = len(vdeg)
-        new_vertices = range(w0, w0 + done)
-        self.eu += targets
-        self.ev += chain.from_iterable(zip(new_vertices, new_vertices))
-        self.eflag += (FLAG_T1, FLAG_T2) * done
-        self.elabel += (None,) * (2 * done)
-        vdeg += (2,) * done
-        for d in (0, 1, 2):  # each new vertex's degree on the way
-            buckets[d].extend(new_vertices)
-        buckets[x + 1].extend(targets)
-        if done < k:
-            raise GraphError(f"no available vertex of degree {x}")
+        e0 = len(self.eu)
+        # Per edge of a vertex: its target degree, the bucket it pops and
+        # from where, and the buckets the target and new vertex go to.
+        steps = [(x, -2 if x == dw - 1 else -1, buckets[x], buckets[x + 1], dw, buckets[dw])
+                 for dw, x in enumerate(targets, 1)]
+        zero = buckets[0]
+        ends: List[int] = []
+        news: List[int] = []
+        try:
+            for w in range(w0, w0 + k):
+                vdeg.append(0)
+                zero.append(w)
+                for x, at, bucket, up, dw, mine in steps:
+                    u = bucket.pop(at)
+                    while vdeg[u] != x:
+                        u = bucket.pop(at)
+                    vdeg[u] = x + 1
+                    up.append(u)
+                    vdeg[w] = dw
+                    mine.append(w)
+                    ends.append(u)
+                    news.append(w)
+        except IndexError:
+            raise GraphError(f"no available vertex of degree {x}") from None
+        finally:
+            done = len(ends)
+            r = len(steps)
+            flags = (FLAG_T1, FLAG_T2) + (FLAG_NONE,) * (r - 2) if r > 1 else (FLAG_NONE,) * r
+            self.eu += ends
+            self.ev += news
+            self.eflag += (flags * k)[:done]
+            self.elabel += (None,) * done
+        return e0
 
     # -- degree bucket queries -------------------------------------------------
 
@@ -401,29 +396,6 @@ class LabeledMultigraph:
             bucket.pop()  # stale
         raise GraphError(f"no vertex of degree {x}")
 
-    def attach_vertex(
-        self,
-        target_degrees: Sequence[int],
-        allow_repeat_target: bool = False,
-    ) -> Tuple[int, List[int]]:
-        """Add one vertex and join it to a vertex of each requested degree.
-
-        Target lookups see the degrees as they evolve: connecting to a
-        vertex moves it to the next bucket before the following lookup.
-        Every new edge ends at the new vertex and, unless repeats are
-        allowed (multi mode only), the targets are distinct, so no edge
-        can be parallel to another.
-        """
-        w = self.add_vertex()
-        chosen: Set[int] = {w}
-        new_edges: List[int] = []
-        repeat_ok = allow_repeat_target and self.mode == "multi"
-        for x in target_degrees:
-            target = self._bucket_pop_valid(x, {w} if repeat_ok else chosen)
-            chosen.add(target)
-            new_edges.append(self._append_edge(target, w, FLAG_NONE))
-        return w, new_edges
-
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> bool:
@@ -450,16 +422,12 @@ class LabeledMultigraph:
 
     def finish(self) -> "LabeledMultigraph":
         """Drop the dead edge slots in one pass that keeps the live edges'
-        order, renumbering ``matching_pairs`` to match; returns the graph.
-        Ids taken before are stale; a finished graph is left as it is."""
+        order; returns the graph.  Ids taken before are stale; a finished
+        graph is left as it is."""
         if self._dead:
             live = bytes(self.eflag).translate(_LIVE)
             self.eu, self.ev, self.eflag, self.elabel = (
                 list(compress(col, live)) for col in (self.eu, self.ev, self.eflag, self.elabel))
-            if self.matching_pairs is not None:  # new id: live slots before
-                (e1, e2), (f1, f2) = ([live.count(1, 0, e) for e in pair]
-                                      for pair in self.matching_pairs)
-                self.matching_pairs = ((e1, e2), (f1, f2))
             self._dead = 0
         return self
 
@@ -469,7 +437,7 @@ class LabeledMultigraph:
         flags = bytes(self.eflag)
         t1 = set(compress(ids, flags.translate(_IN_TREE1)))
         t2 = set(compress(ids, flags.translate(_IN_TREE2)))
-        return Certificate(t1, t2, t1 & t2, self.central_cycle, self.matching_pairs)
+        return Certificate(t1, t2, t1 & t2, self.central_cycle)
 
     # -- serialization ---------------------------------------------------------
 

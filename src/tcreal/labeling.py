@@ -15,6 +15,11 @@ every ordered vertex pair:
 Edges outside both trees receive fresh labels above everything else, so
 they can never break an existing journey.
 
+Each edge takes one label and the labels skip at most the two core
+values, so the largest label is at most m + 2.  When the trees cover
+every edge, each tree labels at most n - 1 edges and the largest label
+is at most 2n.
+
 The labels are written straight into the graph's ``elabel`` list; the
 returned ``TemporalLabeling`` carries only the largest label used.
 """

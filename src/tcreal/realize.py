@@ -17,12 +17,12 @@ base (``bases.attach``), then replay the plan in reverse against the
 degree-bucketed graph store.  ``_replay`` is the only loop that grows a
 graph from a plan.  Each step is a tagged tuple, replayed as:
 
-* ``("pairs", x, k)``, a run of k lay-offs of a 2: k new vertices, each
-  joined to two vertices of degree x;
-* ``("attach", [(x, c), ...])``, a lay-off of the minimum: a new vertex
-  joined to c vertices of each degree x;
+* ``("attach", targets, k)``, k lay-offs of the minimum: k new vertices,
+  each joined to one vertex of each degree in ``targets``, which are
+  listed largest first (``attach_run``); a run of 2s is one step with
+  ``targets = (x, x)``;
 * ``("attach2", x, y)``, a multi-mode double lay-off of a 2: a new
-  vertex joined to vertices of degrees x and y, maybe one vertex twice;
+  vertex joined to vertices of degrees x <= y, maybe one vertex twice;
 * ``("edge", x, y)``, a peeled edge: an edge between vertices of
   degrees x and y;
 * ``("split", d, k)``, k tight-sum splits of the maximum d: k degree-3
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat, starmap
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import bases
@@ -163,11 +164,11 @@ def check_tc_realizable(d: DegreeSequence, mode: str = "simple") -> Decision:
 
 def _lay_off_min(cur: DegreeSequence, limit: int) -> tuple:
     """Lay off the minimum entry of ``cur``, or a run of up to ``limit``
-    2s in one ``lay_off_two_run``; returns the "attach" or "pairs" step."""
+    2s in one ``lay_off_two_run``; returns the "attach" step."""
     x, k = cur.lay_off_two_run(limit)
     if k:
-        return ("pairs", x, k)
-    return ("attach", lay_off_graphical(cur))
+        return ("attach", (x, x), k)
+    return ("attach", tuple(chain.from_iterable(starmap(repeat, lay_off_graphical(cur)))), 1)
 
 
 def _lay_off_twos(cur: DegreeSequence, plan: List[tuple], floor: int) -> None:
@@ -187,7 +188,11 @@ def _replay(g: LabeledMultigraph, plan: List[tuple]) -> LabeledMultigraph:
     The insertions keep a pair of vertex-disjoint tree-2 edges, so each
     finds one avoiding its tree-1 neighbor; the pair starts as the base
     edges (0, 2) and (1, 3), ids 3 and 5.
+
+    Each "attach" step's targets do not increase, so no vertex is found
+    twice (see ``attach_run``); debug asserts check it.
     """
+    dbg = debug_asserts_enabled()
     t2_pair = (3, 5)
     run: List[int] = []
     for step in reversed(plan):
@@ -199,21 +204,17 @@ def _replay(g: LabeledMultigraph, plan: List[tuple]) -> LabeledMultigraph:
             t2_pair = g.replay_degree3_insertions(run, t2_pair)
             run.clear()
         if tag == "attach":
-            # A new vertex whose first two edges become tree edges; only
-            # a non-strict descent lays off a 1 or a 0.
-            _, eids = g.attach_vertex([v for v, c in step[1] for _ in range(c)])
-            if len(eids) > 1:
-                g.eflag[eids[0]] = FLAG_T1
-                g.eflag[eids[1]] = FLAG_T2
-        elif tag == "pairs":
-            g.attach_pair_run(step[1], step[2])
+            targets = step[1]
+            if dbg:
+                assert all(a >= b for a, b in zip(targets, targets[1:])), step
+            g.attach_run(targets, step[2])
         elif tag == "edge":
             u = g._bucket_pop_valid(step[1])
             g.add_edge(u, g._bucket_pop_valid(step[2], exclude={u}))
         else:  # "attach2", which may hit one target twice, a parallel edge
-            _, eids = g.attach_vertex(step[1:], allow_repeat_target=True)
-            g.eflag[eids[0]] = FLAG_T2
-            g.eflag[eids[1]] = FLAG_T1
+            e = g.attach_run(step[1:])
+            g.eflag[e] = FLAG_T2
+            g.eflag[e + 1] = FLAG_T1
     if run:
         g.replay_degree3_insertions(run, t2_pair)
     return g
@@ -454,9 +455,8 @@ def build_c4_pivotable(d: DegreeSequence, mode: str = "simple") -> LabeledMultig
     edges.
 
     Returns the finished graph with its tree flags and ``central_cycle``
-    set, and ``matching_pairs`` on the all-3 route.  That route (eight
-    3s and the rest 4s once the 2s are laid off) grows the frozen n = 8
-    base in one ``replay_c4_merges`` pass, which returns the final pairs.
+    set.  The all-3 route (eight 3s and the rest 4s once the 2s are laid
+    off) grows the frozen n = 8 base in one ``replay_c4_merges`` pass.
     Requires, in both modes,
     sum = 4(n-1)-4 and d_n >= 2.  Simple mode: graphical and
     d_1 < n-1.  Multi mode: multigraphical.
@@ -490,8 +490,7 @@ def build_c4_pivotable(d: DegreeSequence, mode: str = "simple") -> LabeledMultig
         # Unique family (4, ..., 4, 3 x 8); grow from the frozen n=8 base
         # one merged cross-tree pair per new degree-4 vertex.
         g = bases.attach(LabeledMultigraph(mode), bases.C4_ALL3_8)
-        g.matching_pairs = g.replay_c4_merges(
-            cur.n - 8, bases.C4_ALL3_8["pairs"])
+        g.replay_c4_merges(cur.n - 8, bases.C4_ALL3_8["pairs"])
     else:
         # Large maximum: peel six 3s and two units of the maximum, build
         # edge-disjoint trees, then attach the hub gadget, whose central

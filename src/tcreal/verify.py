@@ -325,14 +325,13 @@ def _spanning_tree_violation(
 
 
 def certificate_violation(g: LabeledMultigraph) -> Optional[str]:
-    """The first way the graph's certificate (its tree flags,
-    ``central_cycle`` and ``matching_pairs``) fails, or ``None``.
+    """The first way the graph's certificate (its tree flags and
+    ``central_cycle``) fails, or ``None``.
 
     The edges flagged into each tree must form a spanning tree.  With
     two shared edges, the central 4-cycle must be present, induced (all
     four cycle edges of multiplicity one, no chord), and carry both
-    shared edges.  Matching pairs, when present, must each combine one
-    off-cycle edge per tree with no common endpoint.
+    shared edges.
     """
     ids = g.edge_ids()
     flags = bytes(g.eflag)
@@ -344,7 +343,6 @@ def certificate_violation(g: LabeledMultigraph) -> Optional[str]:
     shared = flags.count(FLAG_BOTH)
     if shared > 2:
         return f"the trees share {shared} edges, at most 2 are allowed"
-    cycle_edges: Set[int] = set()
     if shared == 2:
         cyc = g.central_cycle
         if cyc is None:
@@ -368,24 +366,13 @@ def certificate_violation(g: LabeledMultigraph) -> Optional[str]:
             if len(found) != 1:
                 a, b = sorted(p)
                 return f"central cycle pair ({a}, {b}) has {len(found)} edges, not 1"
-            cycle_edges.add(found[0])
+        cycle_edges = {found[0] for found in pair_to_edges.values()}
         off = [e for e in (flags.index(FLAG_BOTH), flags.rindex(FLAG_BOTH))
                if e not in cycle_edges]
         if off:
             return f"shared edge {off[0]} is not on the central cycle"
     elif g.central_cycle is not None:
         return f"a central cycle is recorded with {shared} shared edges"
-    if g.matching_pairs is not None:
-        if shared != 2:
-            return f"matching pairs are recorded with {shared} shared edges"
-        for e1, e2 in g.matching_pairs:
-            if e1 in cycle_edges or e2 in cycle_edges:
-                return f"matching pair ({e1}, {e2}) uses a central cycle edge"
-            if not (e1 in ids and e2 in ids and in1[e1] and in2[e2]):
-                return f"matching pair ({e1}, {e2}) is not a tree-1 and a tree-2 edge"
-            common = set(g.endpoints(e1)) & set(g.endpoints(e2))
-            if common:
-                return f"matching pair ({e1}, {e2}) shares vertex {min(common)}"
     return None
 
 

@@ -13,7 +13,8 @@
 5. Flagship instances yield the advertised certificate kinds and bases.
 6. Construction plus labeling scales linearly: doubling n from 1e5 to
    4e5 scales wall time by <= 2.6x per step and stays under 2 s at 4e5.
-7. Tree-covered outputs satisfy max_label <= 2n + 2.
+7. Every output satisfies max_label <= m + 2, and tree-covered
+   outputs max_label <= 2n.
 8. Non-strict mode succeeds exactly when a connected realization with
    minimum degree >= 1 exists, and its output is temporally connected
    under non-decreasing journeys.
@@ -60,11 +61,12 @@ def full_check(d: DegreeSequence, mode: str):
             seen.add(key)
     assert is_tc(g), (d, mode)
     assert validate_certificate(g, cert), (d, mode)
-    # Criterion 7: the label bound on tree-covered outputs.
-    if all(g.eflag[e] != 0 for e in g.edge_ids()):
-        assert lab.max_label <= 2 * d.n + 2, (d, mode, lab.max_label)
-    # Criterion 4: certificate shape by edge count.
+    # Criterion 7: the label bounds, the tighter on tree-covered outputs.
     n, m = d.n, d.total // 2
+    assert lab.max_label <= m + 2, (d, mode, lab.max_label)
+    if all(g.eflag[e] != 0 for e in g.edge_ids()):
+        assert lab.max_label <= 2 * n, (d, mode, lab.max_label)
+    # Criterion 4: certificate shape by edge count.
     if n > 2:
         if m == 2 * n - 4:
             assert len(cert.shared) == 2, (d, mode)
@@ -263,7 +265,7 @@ def test_7_label_bound_on_tree_covered_outputs():
         res = realize_tc(d, "simple")
         g = res.graph
         assert all(g.eflag[e] != 0 for e in g.edge_ids())
-        assert res.labeling.max_label <= 2 * d.n + 2
+        assert res.labeling.max_label <= 2 * d.n
     for _ in range(300):
         n = rng.randrange(3, 80)
         mode = "simple" if rng.random() < 0.5 else "multi"
@@ -271,7 +273,7 @@ def test_7_label_bound_on_tree_covered_outputs():
         res = realize_tc(d, mode)
         g = res.graph
         if all(g.eflag[e] != 0 for e in g.edge_ids()):
-            assert res.labeling.max_label <= 2 * d.n + 2, (d, mode)
+            assert res.labeling.max_label <= 2 * d.n, (d, mode)
 
 
 def test_8_nonstrict_mode_up_to_n7():

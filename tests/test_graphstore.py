@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tracemalloc
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -99,7 +100,7 @@ def test_remove_edge_then_re_add():
     f = g.add_edge(0, 1)
     assert g.validate()
     g.remove_edge(f)
-    g.attach_vertex([1])
+    g.attach_run([1])
     g.add_edge(0, 1)
     assert g.validate()
 
@@ -127,55 +128,51 @@ def test_validate_needs_a_bucket_entry_at_the_current_degree():
     assert not g.validate()
 
 
-def test_attach_vertex_on_triangle():
+def test_attach_run_on_triangle():
     g = triangle()
-    w, edges = g.attach_vertex([2, 2])
-    assert g.degree(w) == 2
-    assert len(edges) == 2
-    targets = {v for e in edges for v in g.endpoints(e)} - {w}
+    e = g.attach_run([2, 2])
+    w = 3
+    assert g.degree(w) == 2 and g.num_edges == 5
+    assert [g.eflag[e], g.eflag[e + 1]] == [FLAG_T1, FLAG_T2]
+    targets = {v for f in (e, e + 1) for v in g.endpoints(f)} - {w}
     assert len(targets) == 2  # two distinct previously-degree-2 vertices
     assert g.validate()
 
 
-def test_attach_vertex_on_k2():
-    g = LabeledMultigraph("simple")
-    g.add_vertex()
-    g.add_vertex()
-    g.add_edge(0, 1)
-    w, _ = g.attach_vertex([1])
+def test_attach_run_on_k2():
+    g = build_fixed("simple", 2, [(0, 1, FLAG_NONE)])
+    e = g.attach_run([1])
     assert sorted(g.degrees()) == [1, 1, 2]
-    assert g.degree(w) == 1
+    assert g.degree(2) == 1 and g.eflag[e] == FLAG_NONE
 
 
-def test_attach_vertex_repeat_target_multi():
-    g = LabeledMultigraph("multi")
-    g.add_vertex()
-    g.add_vertex()
-    g.add_edge(0, 1)
-    w, edges = g.attach_vertex([1, 1], allow_repeat_target=True)
-    assert g.degree(w) == 2
-    assert sorted(g.degrees()) == [2, 2, 2]
-    for e in edges:
-        assert w in g.endpoints(e)
+def test_attach_run_ascending_targets_repeat_in_multi():
+    # The "attach2" shape: the target found at degree 1 has degree 2 at
+    # the next lookup, so it is met twice, a parallel edge.
+    g = build_fixed("multi", 2, [(0, 1, FLAG_NONE)])
+    e = g.attach_run([1, 2])
+    assert g.endpoints(e) == g.endpoints(e + 1)
+    assert sorted(g.degrees()) == [1, 2, 3]
+    assert g.degree(2) == 2
     assert g.validate()
 
 
-def test_attach_vertex_never_targets_itself():
+def test_attach_run_never_targets_itself():
     g = triangle("multi")
     # The new vertex reaches the requested degree 2 while edges are
     # added; it must still never be chosen as its own target.
-    w, edges = g.attach_vertex([2, 2, 2], allow_repeat_target=True)
-    for e in edges:
-        u, v = g.endpoints(e)
-        assert u != v
-        assert w in (u, v)
-    assert g.degree(w) == 3
+    e = g.attach_run([2, 2, 2], k=1)
+    for f in range(e, e + 3):
+        u, v = g.endpoints(f)
+        assert v == 3 and u != v
+    assert g.degree(3) == 3
 
 
-def test_attach_vertex_missing_degree():
+def test_attach_run_missing_degree():
     g = triangle()
     with pytest.raises(GraphError):
-        g.attach_vertex([7])
+        g.attach_run([7])
+    assert g.n == 4 and g.num_edges == 3 and g.validate()
 
 
 def replace_edge_with_degree3_vertex(g, u, pick):
@@ -309,12 +306,20 @@ def test_replay_c4_merges_matches_single_steps(mode):
             assert _valid_pop_order(batched, deg) == _valid_pop_order(stepped, deg), (k, deg)
 
 
-def attach_flagged(g, x):
-    """Reference step for ``attach_pair_run``: one vertex joined to two
-    vertices of degree x, by a tree-1 and then a tree-2 edge."""
-    _, (e1, e2) = g.attach_vertex([x, x])
-    g.eflag[e1] = FLAG_T1
-    g.eflag[e2] = FLAG_T2
+def attach_step(g, targets, allow_repeat_target=False):
+    """Reference step for ``attach_run``: one vertex joined to a vertex of
+    each degree in ``targets``, looked up in order, by a tree-1 and a
+    tree-2 edge first when there are two or more.  The new vertex is
+    never its own target; unless repeats are allowed, neither is an
+    earlier target."""
+    w = g.add_vertex()
+    chosen = {w}
+    flags = (FLAG_T1, FLAG_T2) if len(targets) > 1 else ()
+    for x, flag in zip_longest(targets, flags, fillvalue=FLAG_NONE):
+        u = g._bucket_pop_valid(x, chosen)
+        if not allow_repeat_target:
+            chosen.add(u)
+        g.add_edge(u, w, flag)
 
 
 def _with_repeated_bucket_entries():
@@ -328,7 +333,7 @@ def _with_repeated_bucket_entries():
     return g
 
 
-PAIR_RUN_STARTS = {
+ATTACH_RUN_STARTS = {
     "gate": lambda: realize_tc(DegreeSequence(LARGE_FAMILIES["gate"](60)), "simple").graph,
     "many-distinct": lambda: realize_tc(
         DegreeSequence(LARGE_FAMILIES["many-distinct"](200)), "simple").graph,
@@ -337,43 +342,71 @@ PAIR_RUN_STARTS = {
 }
 
 
-@pytest.mark.parametrize("start", sorted(PAIR_RUN_STARTS))
-def test_attach_pair_run_matches_single_steps(start):
-    make = PAIR_RUN_STARTS[start]
+def assert_attach_run_matches_steps(make, targets, k, multi=False):
+    """``attach_run(targets, k)`` against k reference steps on two copies
+    of ``make()``: the same lists and buckets, and a ``GraphError`` from
+    both or from neither.  ``multi`` allows a repeated target, as the
+    multi-mode "attach2" steps do.  Returns whether both raised."""
+    batched, stepped = make(), make()
+    if multi:
+        batched.mode = stepped.mode = "multi"
+    raised = []
+    try:
+        batched.attach_run(targets, k)
+    except GraphError:
+        raised.append("batched")
+    try:
+        for _ in range(k):
+            attach_step(stepped, targets, allow_repeat_target=multi)
+    except GraphError:
+        raised.append("stepped")
+    where = (targets, k)
+    assert raised in ([], ["batched", "stepped"]), (where, raised)
+    for name in ("eu", "ev", "eflag", "elabel", "vdeg", "_dead"):
+        assert getattr(batched, name) == getattr(stepped, name), (where, name)
+    assert batched.validate() and stepped.validate(), where
+    for deg in set(stepped.vdeg):
+        assert _valid_pop_order(batched, deg) == _valid_pop_order(stepped, deg), (where, deg)
+    return bool(raised)
+
+
+@pytest.mark.parametrize("start", sorted(ATTACH_RUN_STARTS))
+def test_attach_run_matches_single_steps(start):
+    make = ATTACH_RUN_STARTS[start]
     degrees = make().vdeg
+    top = sorted(degrees, reverse=True)
     for x in sorted(set(degrees)):
-        if x < 3:
-            continue
-        for k in range(degrees.count(x) // 2 + 1):
-            batched, stepped = make(), make()
-            batched.attach_pair_run(x, k)
-            for _ in range(k):
-                attach_flagged(stepped, x)
-            for name in ("eu", "ev", "eflag", "elabel", "vdeg", "_dead"):
-                assert getattr(batched, name) == getattr(stepped, name), (x, k, name)
-            assert batched.validate() and stepped.validate(), (x, k)
-            for deg in set(stepped.vdeg):
-                assert _valid_pop_order(batched, deg) == _valid_pop_order(stepped, deg), (
-                    x, k, deg)
+        for k in range(degrees.count(x) // 2 + 1):  # runs of lay-offs of a 2
+            assert not assert_attach_run_matches_steps(make, (x, x), k)
+        # The "attach2" shape: the first target is met again at x + 1.
+        for k in range(3):
+            assert_attach_run_matches_steps(make, (x, x + 1), k, multi=True)
+    # Single lay-offs onto the largest degrees, several distinct ones.
+    for r in (3, 5, 8, 13):
+        assert not assert_attach_run_matches_steps(make, tuple(top[:r]), 1)
+        assert_attach_run_matches_steps(make, tuple(top[r:2 * r]), 3)
+    # The new vertex reaches degree 2 before its third lookup at 2.
+    for k in range(4):
+        assert_attach_run_matches_steps(make, (2, 2, 2), k)
 
 
-def test_attach_pair_run_failure_keeps_the_steps_done():
+def test_attach_run_failure_keeps_the_edges_added():
     # Five vertices of degree 4 make two whole steps; the third step's
-    # one target goes back to its bucket.
-    g = build_fixed("multi", 5, [(0, 1, FLAG_T1), (1, 2, FLAG_T2), (2, 3, FLAG_NONE),
-                                 (3, 4, FLAG_NONE), (4, 0, FLAG_NONE)] * 2)
-    stepped = build_fixed("multi", 5, [(0, 1, FLAG_T1), (1, 2, FLAG_T2), (2, 3, FLAG_NONE),
-                                       (3, 4, FLAG_NONE), (4, 0, FLAG_NONE)] * 2)
+    # new vertex keeps the one edge it found before bucket 4 ran dry.
+    edges = [(0, 1, FLAG_T1), (1, 2, FLAG_T2), (2, 3, FLAG_NONE),
+             (3, 4, FLAG_NONE), (4, 0, FLAG_NONE)] * 2
+    assert assert_attach_run_matches_steps(lambda: build_fixed("multi", 5, edges), (4, 4), 3)
+    g = build_fixed("multi", 5, edges)
     with pytest.raises(GraphError):
-        g.attach_pair_run(4, 3)
-    for _ in range(2):
-        attach_flagged(stepped, 4)
-    for name in ("eu", "ev", "eflag", "elabel", "vdeg"):
-        assert getattr(g, name) == getattr(stepped, name), name
-    assert g.validate()
-    assert _valid_pop_order(g, 4) == _valid_pop_order(stepped, 4)
+        g.attach_run((4, 4), 3)
+    assert g.n == 8 and g.num_edges == 15 and g.validate()
+    # Two 2s only: the third lookup at 2 finds only the new vertex, which
+    # stays in its bucket.
+    g = build_fixed("simple", 4, [(0, 1, FLAG_NONE), (1, 2, FLAG_NONE), (2, 3, FLAG_NONE)])
     with pytest.raises(GraphError):
-        g.attach_pair_run(2, 1)  # new vertices would meet their own bucket
+        g.attach_run((2, 2, 2))
+    assert g.degrees() == [1, 3, 3, 1, 2] and g.validate()
+    assert g._bucket_pop_valid(2) == 4
 
 
 def _k4_two_trees():
@@ -419,26 +452,10 @@ def test_finish_twice_changes_nothing():
     for family in ("gate", "c4", "c4-all-3", "many-distinct"):
         g = realize_tc(DegreeSequence(LARGE_FAMILIES[family](200)), "simple").graph
         lists = [g.eu, g.ev, g.eflag, g.elabel]
-        before = to_json_dict(g), g.matching_pairs
+        before = to_json_dict(g)
         g.finish()
         assert all(a is b for a, b in zip([g.eu, g.ev, g.eflag, g.elabel], lists))
-        assert (to_json_dict(g), g.matching_pairs) == before
-
-
-@pytest.mark.parametrize("mode", ["simple", "multi"])
-def test_finish_renumbers_the_matching_pairs(mode):
-    g = bases.attach(LabeledMultigraph(mode), bases.C4_ALL3_8)
-    pairs = g.replay_c4_merges(992, bases.C4_ALL3_8["pairs"])
-    ends = [[(g.eu[e], g.ev[e], g.eflag[e]) for e in pair] for pair in pairs]
-    g.matching_pairs = pairs
-    g.finish()
-    assert g.matching_pairs != pairs
-    assert [[(g.eu[e], g.ev[e], g.eflag[e]) for e in pair]
-            for pair in g.matching_pairs] == ends
-    # And on realize_tc's outputs at an n with many merges.
-    res = realize_tc(DegreeSequence(LARGE_FAMILIES["c4-all-3"](1000)), mode)
-    assert res.graph.matching_pairs is not None
-    assert certificate_violation(res.graph) is None
+        assert to_json_dict(g) == before
 
 
 def _unfinished():

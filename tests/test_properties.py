@@ -54,8 +54,9 @@ def test_realize_full_verification(n, pairs, mode):
     assert is_simple(g)
     assert certificate_violation(g) is None
     assert is_tc(g)
+    assert lab.max_label <= g.num_edges + 2
     if all(g.eflag[e] != 0 for e in g.edge_ids()):
-        assert lab.max_label <= 2 * d.n + 2
+        assert lab.max_label <= 2 * d.n
 
 
 @settings(max_examples=150, deadline=None)

@@ -246,17 +246,6 @@ def test_c4_certificates_have_induced_cycle():
         assert validate_certificate(g, cert)
 
 
-def test_all3_c4_certificates_carry_matching_pairs():
-    # The all-3 boundary route records its two cross-tree off-cycle
-    # pairs on the graph, where the certificate check reads them.
-    for tup in [(3,) * 8, (4,) + (3,) * 8, (4,) * 4 + (3,) * 8]:
-        for mode in ("simple", "multi"):
-            res = realize_tc(DegreeSequence(tup), mode)
-            pairs = res.graph.matching_pairs
-            assert pairs is not None and len(pairs) == 2, (tup, mode)
-            assert certificate_violation(res.graph) is None
-
-
 def test_construction_is_deterministic():
     for tup, mode in [((4, 4, 3, 3, 3, 3), "simple"),
                       ((4, 2, 2, 2, 2), "multi")]:

@@ -538,34 +538,6 @@ def test_certificate_rejects_a_shared_edge_off_the_cycle():
     )
 
 
-def test_validate_certificate_matching_pairs():
-    # Central cycle 0-1-2-3 sharing edges 0 and 2; vertices 4 and 5 hang
-    # off it in both trees, so the certificate itself is valid.
-    g = build_fixed(
-        "simple", 6,
-        [(0, 1, FLAG_BOTH), (1, 2, FLAG_T1), (2, 3, FLAG_BOTH),
-         (3, 0, FLAG_T2), (0, 4, FLAG_T1), (2, 5, FLAG_T1),
-         (4, 5, FLAG_T2), (3, 4, FLAG_T2)],
-        central_cycle=(0, 1, 2, 3),
-    )
-    assert certificate_violation(g) is None
-
-    def violation(*pairs):
-        g.matching_pairs = pairs
-        return certificate_violation(g)
-
-    assert violation((5, 7)) is None
-    assert validate_certificate(g, g.certificate_from_flags())
-    # Edges 0-4 and 4-5 share vertex 4, so they are not a matching.
-    assert violation((4, 6)) == "matching pair (4, 6) shares vertex 4"
-    assert not validate_certificate(g, g.certificate_from_flags())
-    assert violation((1, 7)) == "matching pair (1, 7) uses a central cycle edge"
-    for pair in ((7, 5), (5, 8)):  # 8 is not an edge id
-        assert violation(pair) == (
-            f"matching pair {pair} is not a tree-1 and a tree-2 edge"
-        )
-
-
 # -- brute-force oracle -------------------------------------------------------
 
 
