@@ -30,8 +30,10 @@ import io
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from itertools import chain, compress, cycle, groupby, islice, repeat
 from typing import DefaultDict, Dict, Iterator, List, Optional, Sequence, Set, TextIO, Tuple
+
+from .degseq import debug_asserts_enabled
 
 __all__ = [
     "FLAG_NONE",
@@ -185,7 +187,16 @@ class LabeledMultigraph:
         returned.  This is the inner loop of the tight-sum construction:
         the lists whose new entries do not depend on the choices (flags,
         labels, the new vertices' ends and degrees) are extended once up
-        front, and the loop writes only what the choices decide.
+        front.
+
+        Each step pushes its w, of degree 3, last onto bucket 3, so a
+        step with old maximum 4 pops the previous w as its u.  That u is
+        on no edge of the pair, so from the third step of a run of 4s on
+        no swap happens: the step kills the (a, w) edge of two steps
+        before, a alternates between two vertices, b is w - 2, and the
+        killed slots step by 3.  Such a run past its first two steps is
+        replayed in bulk, with slices; other steps, whose u comes off an
+        older stack, run one at a time.
         """
         k = len(old_maxima)
         eu, ev = self.eu, self.ev
@@ -193,7 +204,7 @@ class LabeledMultigraph:
         buckets = self._buckets
         w0 = len(vdeg)
         e0 = len(eu)
-        new_vertices = range(w0, w0 + k)
+        new_vertices = list(range(w0, w0 + k))
         ev += chain.from_iterable(zip(new_vertices, new_vertices, new_vertices))
         eflag += (FLAG_T1, FLAG_T2, FLAG_T2) * k
         self.elabel += (None,) * (3 * k)
@@ -204,33 +215,61 @@ class LabeledMultigraph:
         add_u = eu.append
         pick, other = t2_pair
         e1 = e0
+        i = 0  # steps done
         try:
-            for w, d1 in zip(new_vertices, old_maxima):
+            for d1, same in groupby(old_maxima):
+                end = i + len(list(same))
                 x = d1 - 1
                 bucket = buckets.get(x)
-                # Pop u as well as the stale entries above it: degrees only
-                # grow during the replay, so its entry would stay stale.
-                while bucket:
-                    u = bucket.pop()
-                    if vdeg[u] == x:
-                        break
-                else:
-                    raise GraphError(f"no vertex of degree {x}")
-                a = eu[pick]
-                b = ev[pick]
-                if u == a or u == b:
-                    pick, other = other, pick
+                up = buckets[x + 1]
+                # A run of 4s takes its first two steps here, the rest below.
+                stop = min(end, i + 2) if x == 3 else end
+                for w in new_vertices[i:stop]:
+                    # Pop u as well as the stale entries above it: degrees
+                    # only grow during the replay, so its entry would stay
+                    # stale.
+                    while bucket:
+                        u = bucket.pop()
+                        if vdeg[u] == x:
+                            break
+                    else:
+                        raise GraphError(f"no vertex of degree {x}")
                     a = eu[pick]
                     b = ev[pick]
-                eflag[pick] = _DEAD
-                add_u(u)
-                add_u(a)
-                add_u(b)
-                vdeg[u] = x + 1
-                buckets[x + 1].append(u)
-                push3(w)
-                pick, other = other, e1 + 1
-                e1 += 3
+                    if u == a or u == b:
+                        pick, other = other, pick
+                        a = eu[pick]
+                        b = ev[pick]
+                    eflag[pick] = _DEAD
+                    add_u(u)
+                    add_u(a)
+                    add_u(b)
+                    vdeg[u] = x + 1
+                    up.append(u)
+                    push3(w)
+                    pick, other = other, e1 + 1
+                    e1 += 3
+                i = (e1 - e0) // 3
+                if i < end:
+                    # Steps i..end-1 of a run of 4s: u is the previous w,
+                    # a the a of two steps before, b the w of two steps
+                    # before, whose (a, w) slot, e1 - 5 for step i, dies.
+                    rest = end - i
+                    us = new_vertices[i - 1:end - 1]
+                    if debug_asserts_enabled():
+                        assert (pick, bucket[-1], vdeg[us[0]]) == (e1 - 5, us[0], 3), i
+                    eu += chain.from_iterable(
+                        zip(us, cycle((eu[e1 - 5], eu[e1 - 2])), new_vertices[i - 2:end - 2]))
+                    eflag[e1 - 5:e1 - 5 + 3 * rest:3] = [_DEAD] * rest
+                    vdeg[w0 + i - 1:w0 + end - 1] = [4] * rest
+                    up += us
+                    bucket[-1] = new_vertices[end - 1]
+                    e1 += 3 * rest
+                    pick, other = e1 - 5, e1 - 2
+                    i = end
+                    if debug_asserts_enabled():
+                        assert vdeg[us[-1]] == 4 and bucket[-1] == new_vertices[end - 1], i
+                        assert eflag.count(_DEAD) == self._dead + (e1 - e0) // 3, i
         except BaseException:
             # Keep the steps done so far; drop the slots preset for the rest.
             del ev[e1:], eflag[e1:], self.elabel[e1:]
@@ -254,8 +293,7 @@ class LabeledMultigraph:
         second pair's tree-2 edge, each new edge chosen to avoid the
         kept edge's ends.  Returns the final pairs.  This grows the all-3
         central-4-cycle family: the lists whose new entries do not depend
-        on the pairs are extended once up front, and the loop writes only
-        the first ends of the new edges and kills the merged pair.
+        on the pairs are extended once up front.
 
         Bucket entries: p, q, x and y go into the buckets of their
         unchanged degrees and w into bucket 4, in the order a merge made
@@ -263,6 +301,18 @@ class LabeledMultigraph:
         them.  Such a merge also pushes each of them into lower buckets on
         the way; degrees only grow after the merges, so no lookup could
         find those entries valid, and they are skipped.
+
+        From the third step on, the merges on the all-3 base settle into
+        a fixed pattern: the first pair is the w-p edge of two steps
+        before (slot e - 8, e the step's first new slot) and the w-x edge
+        of the step before (e - 2), so p alternates between two vertices,
+        x is fixed, q = w - 2 and y = w - 1; the second pair is the
+        previous w-p edge and the fixed tree-2 edge.  That holds on as
+        long as x is neither p and neither p is an end of the fixed edge,
+        and the step then pushes p and x onto bucket 3 and q, y and w
+        onto bucket 4 when p and x have degree 3.  After two steps one at
+        a time the rest is replayed with slices when that premise holds
+        (an O(1) check), and one at a time otherwise.
         """
         (e1, e2), (f1, f2) = pairs
         eu, ev = self.eu, self.ev
@@ -270,7 +320,7 @@ class LabeledMultigraph:
         buckets = self._buckets
         w0 = len(vdeg)
         e = len(eu)
-        new_vertices = range(w0, w0 + k)
+        new_vertices = list(range(w0, w0 + k))
         ev += chain.from_iterable(
             zip(new_vertices, new_vertices, new_vertices, new_vertices))
         eflag += (FLAG_T1, FLAG_T1, FLAG_T2, FLAG_T2) * k
@@ -280,7 +330,28 @@ class LabeledMultigraph:
         # 4, so vdeg already holds the degree each push below needs.
         vdeg += (4,) * k
         add_u = eu.append
-        for w in new_vertices:
+        for i, w in enumerate(new_vertices):
+            # The warm-up chose f1 = e - 8, then e - 4, so neither p is an
+            # end of f2, which no step changes.
+            if i == 2 and (e1, e2, f1) == (e - 8, e - 2, e - 4):
+                pa, pb, x = eu[e - 8], eu[e - 4], eu[e - 2]
+                if x != pa and x != pb and vdeg[pa] == vdeg[pb] == vdeg[x] == 3:
+                    # Steps 2..k-1: p alternates pa, pb, q = w - 2,
+                    # y = w - 1, and each kills its slots e - 8, e - 2.
+                    rest = k - 2
+                    qs = new_vertices[:-2]
+                    ys = new_vertices[1:-1]
+                    eu += chain.from_iterable(zip(cycle((pa, pb)), qs, repeat(x), ys))
+                    eflag[e - 8:e - 8 + 4 * rest:4] = [_DEAD] * rest
+                    eflag[e - 2:e - 2 + 4 * rest:4] = [_DEAD] * rest
+                    buckets[3] += chain.from_iterable(zip(cycle((pa, pb)), repeat(x, rest)))
+                    buckets[4] += chain.from_iterable(zip(qs, ys, new_vertices[2:]))
+                    e += 4 * rest
+                    e1, e2, f1 = e - 8, e - 2, e - 4
+                    if debug_asserts_enabled():
+                        assert eflag.count(_DEAD) == self._dead, k
+                        assert buckets[3][-1] == x and buckets[4][-1] == w0 + k - 1, k
+                    break
             p = eu[e1]
             q = ev[e1]
             x = eu[e2]

@@ -187,7 +187,10 @@ def _replay(g: LabeledMultigraph, plan: List[tuple]) -> LabeledMultigraph:
     call.  They come only from the two-tree descent, on the K4_EDST base.
     The insertions keep a pair of vertex-disjoint tree-2 edges, so each
     finds one avoiding its tree-1 neighbor; the pair starts as the base
-    edges (0, 2) and (1, 3), ids 3 and 5.
+    edges (0, 2) and (1, 3), ids 3 and 5.  A run of splits of the
+    maximum 4 is replayed in bulk past its first two steps, since each
+    such step takes the previous step's new vertex and kills a slot at
+    a fixed stride (see ``replay_degree3_insertions``).
 
     Each "attach" step's targets do not increase, so no vertex is found
     twice (see ``attach_run``); debug asserts check it.

@@ -90,12 +90,12 @@ def properness_violation(g: LabeledMultigraph) -> Optional[str]:
     repeated = {t for t, c in counts.items() if c > 1}
     if not repeated:
         return None
+    eu, ev = g.eu, g.ev
     first: Dict[Tuple[int, int], int] = {}  # (label, vertex) -> first edge
     witness: Optional[Tuple[int, int, int, int]] = None  # (vertex, edge, edge, label)
-    for e, t, u, v in zip(ids, elabel, g.eu, g.ev):
-        if t not in repeated:
-            continue
-        for x in (u, v):
+    for e in itertools.compress(ids, map(repeated.__contains__, elabel)):
+        t = elabel[e]
+        for x in (eu[e], ev[e]):
             f = first.setdefault((t, x), e)
             if f != e and (witness is None or x < witness[0]):
                 witness = (x, f, e, t)
@@ -316,11 +316,19 @@ def _spanning_tree_violation(
     if len(edges) != want:
         return f"{name} has {len(edges)} edges, a spanning tree needs {want}"
     eu, ev = g.eu, g.ev
-    union = _DSU(g.n).union
+    # Union-find with path halving, inline: the first edge whose ends
+    # are already joined is the same whatever the find does.
+    parent = list(range(g.n))
     for e in edges:
-        u, v = eu[e], ev[e]
-        if not union(u, v):
+        u = ru = eu[e]
+        v = rv = ev[e]
+        while parent[ru] != ru:
+            parent[ru] = ru = parent[parent[ru]]
+        while parent[rv] != rv:
+            parent[rv] = rv = parent[parent[rv]]
+        if ru == rv:
             return f"{name} edge {e} ({u}, {v}) closes a cycle"
+        parent[ru] = rv
     return None  # n-1 acyclic edges on n vertices must span
 
 

@@ -235,26 +235,46 @@ def test_replace_edge_rejects_incident_anchor():
         replace_edge_with_degree3_vertex(g, 0, 0)
 
 
-def test_replay_degree3_insertions_matches_single_steps():
-    def fresh():
-        return build_fixed("simple", 4,
-                           [(0, 1, FLAG_T1), (1, 2, FLAG_T1), (2, 3, FLAG_T1),
-                            (0, 2, FLAG_T2), (0, 3, FLAG_T2), (1, 3, FLAG_T2)])
-
-    batched = fresh()
-    stepped = fresh()
-    pair = batched.replay_degree3_insertions([4, 4, 4], (3, 5))
-    t2_pair = (3, 5)
-    for _ in range(3):
-        u = stepped.find_vertex_with_degree(3)
+def degree3_steps(g, old_maxima, t2_pair):
+    """Reference for ``replay_degree3_insertions``: one
+    ``replace_edge_with_degree3_vertex`` per old maximum d1, at a vertex
+    of degree d1 - 1, on the pair edge avoiding it.  Returns the pair."""
+    for d1 in old_maxima:
+        u = g.find_vertex_with_degree(d1 - 1)
         pick, other = t2_pair
-        if u in stepped.endpoints(pick):
+        if u in g.endpoints(pick):
             pick, other = other, pick
-        _, new_edge = replace_edge_with_degree3_vertex(stepped, u, pick)
+        _, new_edge = replace_edge_with_degree3_vertex(g, u, pick)
         t2_pair = (other, new_edge)
-    assert pair == t2_pair
-    for name in ("eu", "ev", "eflag", "elabel", "vdeg", "_dead"):
-        assert getattr(batched, name) == getattr(stepped, name), name
+    return t2_pair
+
+
+def test_replay_degree3_insertions_matches_single_steps():
+    # Runs of 4s past their first two steps take the bulk path, also
+    # after steps with another old maximum, and before a failing step.
+    mixed = [
+        [4, 4, 5, 4, 4, 4, 4],
+        [4] * 4 + [5] * 2 + [4] * 7 + [6] + [4] * 3 + [5] * 3 + [4] * 2,
+        [4, 5, 4, 5, 4, 4, 4, 5, 5, 5, 4, 4, 4, 4, 4, 4, 5],
+        [4] * 6 + [9],
+    ]
+    for old_maxima in [[4] * k for k in range(301)] + mixed:
+        batched = _k4_two_trees()
+        stepped = _k4_two_trees()
+        try:
+            pair = batched.replay_degree3_insertions(old_maxima, (3, 5))
+        except GraphError:
+            pair = None
+        try:
+            step_pair = degree3_steps(stepped, old_maxima, (3, 5))
+        except GraphError:
+            step_pair = None
+        assert pair == step_pair, old_maxima
+        for name in ("eu", "ev", "eflag", "elabel", "vdeg", "_dead"):
+            assert getattr(batched, name) == getattr(stepped, name), (old_maxima, name)
+        assert batched.validate() and stepped.validate(), old_maxima
+        for deg in set(stepped.vdeg):
+            assert _valid_pop_order(batched, deg) == _valid_pop_order(stepped, deg), (old_maxima, deg)
 
 
 def c4_merge_step(g, pairs):
@@ -294,6 +314,37 @@ def test_replay_c4_merges_matches_single_steps(mode):
     for k in range(301):
         batched = bases.attach(LabeledMultigraph(mode), bases.C4_ALL3_8)
         stepped = bases.attach(LabeledMultigraph(mode), bases.C4_ALL3_8)
+        pairs = batched.replay_c4_merges(k, start)
+        step_pairs = [list(p) for p in start]
+        for _ in range(k):
+            c4_merge_step(stepped, step_pairs)
+        assert pairs == (tuple(step_pairs[0]), tuple(step_pairs[1])), k
+        for name in ("eu", "ev", "eflag", "elabel", "vdeg", "_dead"):
+            assert getattr(batched, name) == getattr(stepped, name), (k, name)
+        assert batched.validate() and stepped.validate(), k
+        for deg in set(stepped.vdeg):
+            assert _valid_pop_order(batched, deg) == _valid_pop_order(stepped, deg), (k, deg)
+
+
+@pytest.mark.parametrize("start,pendant_at", [
+    (((5, 6), (2, 3)), None),
+    (((10, 6), (7, 8)), None),
+    (bases.C4_ALL3_8["pairs"], 0),
+])
+def test_replay_c4_merges_from_other_starts_match_single_steps(start, pendant_at):
+    # From the first start the merges leave the fixed pattern, so all
+    # steps run one at a time; from the second they settle into it.  The
+    # third settles too, but a pendant vertex lifts one p to degree 4, so
+    # the steps run one at a time again.
+    def fresh():
+        g = bases.attach(LabeledMultigraph("multi"), bases.C4_ALL3_8)
+        if pendant_at is not None:
+            g.add_edge(pendant_at, g.add_vertex())
+        return g
+
+    for k in range(41):
+        batched = fresh()
+        stepped = fresh()
         pairs = batched.replay_c4_merges(k, start)
         step_pairs = [list(p) for p in start]
         for _ in range(k):
