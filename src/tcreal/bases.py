@@ -1,13 +1,14 @@
-"""Frozen base realizations used by the constructions.
+"""Base realizations and hub gadgets used by the constructions.
 
 The small figure-style bases were derived once by exhaustive search over
 realizations and tree splits (the search lives in the test suite and can
 regenerate them); everything here is a plain edge list with tree flags.
 
 Fixture format: n, edges as (u, v) pairs, tree edge-id lists, and where
-relevant the central 4-cycle and the off-cycle matching pairs.  ``attach``
-adds a fixture to a graph, either as a whole base or as a hub gadget whose
-vertex 0 lands on an existing vertex.
+relevant the central 4-cycle and the ``"pairs"`` a bulk replay starts
+from (K4_EDST, C4_ALL3_8).  ``wheel(k)`` generates a fixture per k.
+``attach`` adds a fixture to a graph, either as a whole base or as a hub
+gadget whose vertex 0 lands on an existing vertex.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .graphstore import (
 
 __all__ = [
     "attach",
+    "wheel",
     "K4_EDST",
     "C4_BASE",
     "TRIANGLE_ONE_SHARED",
@@ -31,16 +33,18 @@ __all__ = [
     "C4_ALL3_8",
     "C4_GADGET",
     "MULTI_C4_GADGET",
+    "PENDANT",
 ]
 
-# Complete graph on 4 vertices: two edge-disjoint spanning trees
-# (path 0-1-2-3 and the star-ish tree {02, 03, 13}).
+# Complete graph on 4 vertices: two edge-disjoint spanning trees (path
+# 0-1-2-3 and the star-ish tree {02, 03, 13}, with 02, 13 disjoint).
 K4_EDST = {
     "n": 4,
     "edges": [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3), (1, 3)],
     "tree1": [0, 1, 2],
     "tree2": [3, 4, 5],
     "shared": [],
+    "pairs": (3, 5),
 }
 
 # The 4-cycle: two spanning paths sharing the two opposite edges 01 and 23.
@@ -137,6 +141,29 @@ MULTI_C4_GADGET = {
     "shared": [1, 2],
     "cycle": (0, 1, 2, 3),
 }
+
+# One edge in both trees: the pendant hub gadget, or the whole (1, 1) base.
+PENDANT = {
+    "n": 2,
+    "edges": [(0, 1)],
+    "tree1": [0],
+    "tree2": [0],
+    "shared": [0],
+}
+
+
+def wheel(k: int) -> dict:
+    """Hub gadget: a k-cycle (k >= 3) fully joined to the hub, as the k
+    spokes (0, i) and then the ring (i, i % k + 1).  Tree 1 holds spokes
+    0..k-2 and ring edge k-2, tree 2 the rest; they share nothing."""
+    assert k >= 3
+    return {
+        "n": k + 1,
+        "edges": [(0, i) for i in range(1, k + 1)] + [(i, i % k + 1) for i in range(1, k + 1)],
+        "tree1": [*range(k - 1), 2 * k - 2],
+        "tree2": [k - 1, *range(k, 2 * k - 2), 2 * k - 1],
+        "shared": [],
+    }
 
 
 def attach(

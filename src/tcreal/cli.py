@@ -50,6 +50,15 @@ _CERT_KIND = {
     Reason.OK_SMALL_N: "small-n",
 }
 
+# The checks ``build`` self-verifies with and ``verify`` runs, in order,
+# each with the prefix ``verify`` prints before its failure.
+_CHECKS = (
+    ("FAIL: ", simplicity_violation),
+    ("FAIL properness: ", properness_violation),
+    ("FAIL temporal connectivity: ", tc_violation),
+    ("FAIL certificate: ", certificate_violation),
+)
+
 
 def _read_sequences(args: argparse.Namespace) -> List[DegreeSequence]:
     """Positional tokens form one sequence; otherwise one per stdin line."""
@@ -130,16 +139,12 @@ def cmd_build(args: argparse.Namespace) -> int:
     g, labeling = result.graph, result.labeling
     assert g is not None and labeling is not None
     if not args.no_verify:
-        reason = (
-            simplicity_violation(g)
-            or properness_violation(g)
-            or tc_violation(g)
-            or certificate_violation(g)
-        )
-        if reason is not None:
-            print(f"internal error: self-verification failed: {reason}",
-                  file=sys.stderr)
-            return EXIT_INTERNAL
+        for _, check in _CHECKS:
+            reason = check(g)
+            if reason is not None:
+                print(f"internal error: self-verification failed: {reason}",
+                      file=sys.stderr)
+                return EXIT_INTERNAL
     report.update(
         max_label=labeling.max_label,
         shared_edges=g.eflag.count(FLAG_BOTH),
@@ -169,12 +174,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError, GraphError) as exc:
         print(f"cannot load graph: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    for prefix, check in (
-        ("FAIL: ", simplicity_violation),
-        ("FAIL properness: ", properness_violation),
-        ("FAIL temporal connectivity: ", tc_violation),
-        ("FAIL certificate: ", certificate_violation),
-    ):
+    for prefix, check in _CHECKS:
         reason = check(g)
         if reason is not None:
             print(prefix + reason)

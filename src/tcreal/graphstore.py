@@ -30,7 +30,7 @@ import io
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress, cycle, groupby, islice, repeat
+from itertools import chain, compress, cycle, islice, repeat
 from typing import DefaultDict, Dict, Iterator, List, Optional, Sequence, Set, TextIO, Tuple
 
 from .degseq import debug_asserts_enabled
@@ -130,9 +130,6 @@ class LabeledMultigraph:
             raise GraphError(f"unknown edge id {e}")
         return self.eu[e], self.ev[e]
 
-    def degree(self, v: int) -> int:
-        return self.vdeg[v]
-
     def degrees(self) -> List[int]:
         return list(self.vdeg)
 
@@ -174,20 +171,19 @@ class LabeledMultigraph:
             self._buckets[self.vdeg[x]].append(x)
 
     def replay_degree3_insertions(
-        self, old_maxima: Sequence[int], t2_pair: Tuple[int, int]
+        self, runs: Sequence[Tuple[int, int]], t2_pair: Tuple[int, int]
     ) -> Tuple[int, int]:
-        """Insert one degree-3 vertex per entry of ``old_maxima``.
+        """Insert k degree-3 vertices per run (d1, k) of ``runs``.
 
-        For each old maximum d1: pick a vertex u of current degree d1 - 1,
-        choose from ``t2_pair`` (two vertex-disjoint tree-2 edges) one edge
-        avoiding u, delete it, and add a vertex w joined to u (tree 1) and
-        to both ends of that edge (tree 2); of the old vertices only u's
-        degree changes.  The pair is maintained by replacing the used
-        edge with one of the two new tree-2 edges; the updated pair is
-        returned.  This is the inner loop of the tight-sum construction:
-        the lists whose new entries do not depend on the choices (flags,
-        labels, the new vertices' ends and degrees) are extended once up
-        front.
+        Each step pops a vertex u of degree d1 - 1, picks from ``t2_pair``
+        (two vertex-disjoint tree-2 edges) one edge avoiding u, deletes
+        it, and adds a vertex w joined to u (tree 1) and to both ends of
+        that edge (tree 2); of the old vertices only u's degree changes.
+        The pair is maintained by replacing the used edge with one of the
+        two new tree-2 edges; the updated pair is returned.  This is the
+        inner loop of the tight-sum construction: the lists whose new
+        entries do not depend on the choices (flags, labels, the new
+        vertices' ends and degrees) are extended once up front.
 
         Each step pushes its w, of degree 3, last onto bucket 3, so a
         step with old maximum 4 pops the previous w as its u.  That u is
@@ -196,9 +192,10 @@ class LabeledMultigraph:
         before, a alternates between two vertices, b is w - 2, and the
         killed slots step by 3.  Such a run past its first two steps is
         replayed in bulk, with slices; other steps, whose u comes off an
-        older stack, run one at a time.
+        older stack, run one at a time.  Both give the same result, so
+        where a run is split does not matter.
         """
-        k = len(old_maxima)
+        k = sum(count for _, count in runs)
         eu, ev = self.eu, self.ev
         eflag, vdeg = self.eflag, self.vdeg
         buckets = self._buckets
@@ -211,29 +208,22 @@ class LabeledMultigraph:
         # A new vertex enters a bucket only once inserted, so presetting
         # the degrees of the ones still to come is invisible to lookups.
         vdeg += (3,) * k
-        push3 = buckets[3].append
+        three = buckets[3]
+        push3 = three.append
+        pop = self._pop_vertex
         add_u = eu.append
         pick, other = t2_pair
         e1 = e0
         i = 0  # steps done
         try:
-            for d1, same in groupby(old_maxima):
-                end = i + len(list(same))
+            for d1, count in runs:
+                end = i + count
                 x = d1 - 1
-                bucket = buckets.get(x)
                 up = buckets[x + 1]
                 # A run of 4s takes its first two steps here, the rest below.
                 stop = min(end, i + 2) if x == 3 else end
                 for w in new_vertices[i:stop]:
-                    # Pop u as well as the stale entries above it: degrees
-                    # only grow during the replay, so its entry would stay
-                    # stale.
-                    while bucket:
-                        u = bucket.pop()
-                        if vdeg[u] == x:
-                            break
-                    else:
-                        raise GraphError(f"no vertex of degree {x}")
+                    u = pop(x)
                     a = eu[pick]
                     b = ev[pick]
                     if u == a or u == b:
@@ -257,18 +247,18 @@ class LabeledMultigraph:
                     rest = end - i
                     us = new_vertices[i - 1:end - 1]
                     if debug_asserts_enabled():
-                        assert (pick, bucket[-1], vdeg[us[0]]) == (e1 - 5, us[0], 3), i
+                        assert (pick, three[-1], vdeg[us[0]]) == (e1 - 5, us[0], 3), i
                     eu += chain.from_iterable(
                         zip(us, cycle((eu[e1 - 5], eu[e1 - 2])), new_vertices[i - 2:end - 2]))
                     eflag[e1 - 5:e1 - 5 + 3 * rest:3] = [_DEAD] * rest
                     vdeg[w0 + i - 1:w0 + end - 1] = [4] * rest
                     up += us
-                    bucket[-1] = new_vertices[end - 1]
+                    three[-1] = new_vertices[end - 1]
                     e1 += 3 * rest
                     pick, other = e1 - 5, e1 - 2
                     i = end
                     if debug_asserts_enabled():
-                        assert vdeg[us[-1]] == 4 and bucket[-1] == new_vertices[end - 1], i
+                        assert vdeg[us[-1]] == 4 and three[-1] == new_vertices[end - 1], i
                         assert eflag.count(_DEAD) == self._dead + (e1 - e0) // 3, i
         except BaseException:
             # Keep the steps done so far; drop the slots preset for the rest.
@@ -431,41 +421,16 @@ class LabeledMultigraph:
 
     # -- degree bucket queries -------------------------------------------------
 
-    def _bucket_pop_valid(self, deg: int, exclude: Optional[Set[int]] = None) -> int:
-        """Pop some vertex currently having degree ``deg``.
-
-        Entries whose vertex degree moved on are discarded; entries merely
-        excluded by the caller are stashed and pushed back afterwards.
-        """
+    def _pop_vertex(self, deg: int) -> int:
+        """Pop the top valid entry of bucket ``deg``, dropping the stale
+        entries above it; raises ``GraphError`` when it runs dry."""
         bucket = self._buckets.get(deg)
-        stash: List[int] = []
-        found = -1
         vdeg = self.vdeg
         while bucket:
             v = bucket.pop()
-            if vdeg[v] != deg:
-                continue  # stale
-            if exclude is not None and v in exclude:
-                stash.append(v)
-                continue
-            found = v
-            break
-        if stash:  # only a bucket that exists yields a stash
-            bucket.extend(reversed(stash))
-        if found < 0:
-            raise GraphError(f"no available vertex of degree {deg}")
-        return found
-
-    def find_vertex_with_degree(self, x: int) -> int:
-        """Some vertex of degree exactly x (read-only)."""
-        bucket = self._buckets.get(x)
-        vdeg = self.vdeg
-        while bucket:
-            v = bucket[-1]
-            if vdeg[v] == x:
+            if vdeg[v] == deg:
                 return v
-            bucket.pop()  # stale
-        raise GraphError(f"no vertex of degree {x}")
+        raise GraphError(f"no available vertex of degree {deg}")
 
     # -- validation ------------------------------------------------------------
 

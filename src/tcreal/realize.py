@@ -29,8 +29,9 @@ graph from a plan.  Each step is a tagged tuple, replayed as:
   vertices, each inserted astride a tree-2 edge.
 
 A builder that peels a maximum and some minima (``_peel``) builds the
-rest this way and regrows the peel on the hub left in their place.  All
-passes are linear in n + m (bucket operations amortized).
+rest this way and regrows the peel on the hub left in their place, as one
+hub gadget (``bases.attach``).  All passes are linear in n + m (bucket
+operations amortized).
 """
 
 from __future__ import annotations
@@ -183,54 +184,55 @@ def _replay(g: LabeledMultigraph, plan: List[tuple]) -> LabeledMultigraph:
     """Grow ``g`` by the steps of ``plan``, the last recorded first; the
     only loop that replays a plan.  Returns ``g``.
 
-    Consecutive "split" runs go to one ``replay_degree3_insertions``
-    call.  They come only from the two-tree descent, on the K4_EDST base.
-    The insertions keep a pair of vertex-disjoint tree-2 edges, so each
-    finds one avoiding its tree-1 neighbor; the pair starts as the base
-    edges (0, 2) and (1, 3), ids 3 and 5.  A run of splits of the
-    maximum 4 is replayed in bulk past its first two steps, since each
-    such step takes the previous step's new vertex and kills a slot at
-    a fixed stride (see ``replay_degree3_insertions``).
+    Consecutive "split" steps go, as (d, k) runs, to one
+    ``replay_degree3_insertions`` call.  They come only from the two-tree
+    descent, on the K4_EDST base.  The insertions keep a pair of
+    vertex-disjoint tree-2 edges, so each finds one avoiding its tree-1
+    neighbor; the pair starts as the base's ``"pairs"``.  A run of splits
+    of the maximum 4 is replayed in bulk past its first two steps, since
+    each such step takes the previous step's new vertex and kills a slot
+    at a fixed stride (see ``replay_degree3_insertions``).
 
     Each "attach" step's targets do not increase, so no vertex is found
-    twice (see ``attach_run``); debug asserts check it.
+    twice (see ``attach_run``); debug asserts check it.  An "edge" step
+    pops its ends, and degrees only grow, so it cannot find one twice.
     """
     dbg = debug_asserts_enabled()
-    t2_pair = (3, 5)
-    run: List[int] = []
+    t2_pair = bases.K4_EDST["pairs"]
+    runs: List[Tuple[int, int]] = []
     for step in reversed(plan):
         tag = step[0]
         if tag == "split":
-            run += [step[1]] * step[2]
+            runs.append(step[1:])
             continue
-        if run:
-            t2_pair = g.replay_degree3_insertions(run, t2_pair)
-            run.clear()
+        if runs:
+            t2_pair = g.replay_degree3_insertions(runs, t2_pair)
+            runs.clear()
         if tag == "attach":
             targets = step[1]
             if dbg:
                 assert all(a >= b for a, b in zip(targets, targets[1:])), step
             g.attach_run(targets, step[2])
         elif tag == "edge":
-            u = g._bucket_pop_valid(step[1])
-            g.add_edge(u, g._bucket_pop_valid(step[2], exclude={u}))
+            g.add_edge(g._pop_vertex(step[1]), g._pop_vertex(step[2]))
         else:  # "attach2", which may hit one target twice, a parallel edge
             e = g.attach_run(step[1:])
             g.eflag[e] = FLAG_T2
             g.eflag[e + 1] = FLAG_T1
-    if run:
-        g.replay_degree3_insertions(run, t2_pair)
+    if runs:
+        g.replay_degree3_insertions(runs, t2_pair)
     return g
 
 
 def _peel(
     d: DegreeSequence, k: int, hub_degree: int,
     build: Callable[[DegreeSequence, str], LabeledMultigraph], mode: str, check_mode: str,
-) -> Tuple[LabeledMultigraph, int]:
+    fixture: dict,
+) -> LabeledMultigraph:
     """Drop ``k`` minima of ``d``, all of one value, and cut its maximum
     down to ``hub_degree``; build the rest with ``build(rest, mode)``
-    after checking it in ``check_mode``.  Returns the graph and a vertex
-    of degree ``hub_degree``, the hub the caller regrows the peel on."""
+    after checking it in ``check_mode``; regrow the peel as the hub
+    gadget ``fixture`` on a popped vertex of degree ``hub_degree``."""
     red = d.copy()
     low = red.min_degree
     for _ in range(k):
@@ -241,7 +243,7 @@ def _peel(
     red.add_entry(hub_degree)
     _debug_seq(red, check_mode)
     g = build(red, mode)
-    return g, g.find_vertex_with_degree(hub_degree)
+    return bases.attach(g, fixture, g._pop_vertex(hub_degree))
 
 
 def _debug_seq(cur: DegreeSequence, mode: str) -> None:
@@ -345,21 +347,6 @@ def _two_edst_descent(cur: DegreeSequence, plan: List[tuple]) -> None:
 # --------------------------------------------------------------------------
 
 
-def _attach_wheel(g: LabeledMultigraph, hub: int, k: int) -> None:
-    """Add a k-cycle fully joined to ``hub`` (k >= 3), splitting the 2k
-    new edges into two trees that each span the k new vertices from the
-    hub and share nothing."""
-    assert k >= 3
-    xs = [g.add_vertex() for _ in range(k)]
-    spokes = [g.add_edge(hub, x) for x in xs]
-    ring = [g.add_edge(xs[i], xs[(i + 1) % k]) for i in range(k)]
-    for i in range(k - 1):
-        g.eflag[spokes[i]] = FLAG_T1
-    g.eflag[spokes[k - 1]] = FLAG_T2
-    for i in range(k):
-        g.eflag[ring[i]] = FLAG_T1 if i == k - 2 else FLAG_T2
-
-
 def _one_shared_deg3(cur: DegreeSequence, mode: str) -> LabeledMultigraph:
     """Base builder for sum = 4(n-1)-2 with minimum degree exactly 3."""
     n = cur.n
@@ -372,13 +359,10 @@ def _one_shared_deg3(cur: DegreeSequence, mode: str) -> LabeledMultigraph:
         if n <= 8:
             return bases.attach(LabeledMultigraph(mode), bases.ONE_SHARED_DEG3[n])
         g = bases.attach(LabeledMultigraph(mode), bases.ONE_SHARED_DEG3[6])
-        _attach_wheel(g, hub=0, k=n - 6)
-        return g
+        return bases.attach(g, bases.wheel(n - 6), 0)
     # Second-largest entry >= 4: peel the maximum plus d1-1 threes down
     # to a pendant instance, then re-grow the maximum as a wheel hub.
-    g, hub = _peel(cur, d1 - 1, 1, build_one_shared, mode, "simple")
-    _attach_wheel(g, hub, k=d1 - 1)
-    return g
+    return _peel(cur, d1 - 1, 1, build_one_shared, mode, "simple", bases.wheel(d1 - 1))
 
 
 def build_one_shared(d: DegreeSequence, mode: str = "simple") -> LabeledMultigraph:
@@ -395,26 +379,21 @@ def build_one_shared(d: DegreeSequence, mode: str = "simple") -> LabeledMultigra
         n <= 2 or (d.degree_at_from_end(2) >= 2 and d.min_degree >= 1),
         "at most one vertex may have degree below 2",
     )
-    if n <= 2:
+    if n < 2:
         g = LabeledMultigraph(mode)
         for _ in range(n):
             g.add_vertex()
-        if n == 2:  # (k, k), and k = 1 in simple mode; k parallel edges
-            k = d.max_degree
-            eids = [g.add_edge(0, 1) for _ in range(k)]
-            if k == 1:
-                g.eflag[eids[0]] = FLAG_BOTH
-            else:
-                g.eflag[eids[0]] = FLAG_T1
-                g.eflag[eids[1]] = FLAG_T2
+        return g
+    if n == 2:  # (k, k), and k = 1 in simple mode; k parallel edges
+        k = d.max_degree
+        g = bases.attach(LabeledMultigraph(mode), bases.PENDANT if k == 1 else bases.MULTI_22)
+        for _ in range(k - 2):
+            g.add_edge(0, 1)
         return g
     if d.min_degree == 1:
         # Pendant route: the rest has two edge-disjoint trees; the
         # pendant edge is the single shared edge.
-        g, u = _peel(d, 1, d.max_degree - 1, build_two_edst, mode, mode)
-        w = g.add_vertex()
-        g.add_edge(u, w, FLAG_BOTH)
-        return g
+        return _peel(d, 1, d.max_degree - 1, build_two_edst, mode, mode, bases.PENDANT)
     if d.total >= 4 * (n - 1):
         return build_two_edst(d, mode)
     # sum == 4(n-1)-2 with min degree in {2, 3}.
@@ -478,8 +457,7 @@ def build_c4_pivotable(d: DegreeSequence, mode: str = "simple") -> LabeledMultig
         # through the maximum-degree vertex.  Every other multi boundary
         # sequence is graphical with maximum below n-1 and takes the
         # graphical route below.
-        g, hub = _peel(d, 3, d.max_degree - 2, build_two_edst, mode, "multi")
-        return bases.attach(g, bases.MULTI_C4_GADGET, hub)
+        return _peel(d, 3, d.max_degree - 2, build_two_edst, mode, "multi", bases.MULTI_C4_GADGET)
     cur = d.copy()
     plan: List[tuple] = []
     _lay_off_twos(cur, plan, 4)
@@ -498,8 +476,7 @@ def build_c4_pivotable(d: DegreeSequence, mode: str = "simple") -> LabeledMultig
         # Large maximum: peel six 3s and two units of the maximum, build
         # edge-disjoint trees, then attach the hub gadget, whose central
         # 4-cycle becomes the graph's.
-        g, hub = _peel(cur, 6, cur.max_degree - 2, build_two_edst, mode, "simple")
-        bases.attach(g, bases.C4_GADGET, hub)
+        g = _peel(cur, 6, cur.max_degree - 2, build_two_edst, mode, "simple", bases.C4_GADGET)
     return _replay(g, plan).finish()
 
 

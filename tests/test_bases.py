@@ -184,6 +184,9 @@ def fixture_graphs():
     yield "c4_all3_8", bases.C4_ALL3_8, "simple"
     yield "c4_gadget", bases.C4_GADGET, "simple"
     yield "multi_c4_gadget", bases.MULTI_C4_GADGET, "multi"
+    yield "pendant", bases.PENDANT, "simple"
+    for k in range(3, 11):
+        yield f"wheel_{k}", bases.wheel(k), "simple"
 
 
 def test_every_fixture_instantiates_validly():
@@ -209,6 +212,8 @@ def test_fixture_degree_multisets():
         "c4_all3_8": [3] * 8,
         "c4_gadget": [3] * 6 + [2],
         "multi_c4_gadget": [2] * 4,
+        "pendant": [1, 1],
+        **{f"wheel_{k}": [k] + [3] * k for k in range(3, 11)},
     }
     for name, fx, mode in fixture_graphs():
         g = bases.attach(LabeledMultigraph(mode), fx)
@@ -232,3 +237,22 @@ def test_gadget_trees_span_from_hub():
         bases.C4_GADGET["tree2"]
     )
     assert covered == set(range(10))
+
+
+def test_pendant_and_wheel_trees_span_from_hub():
+    # Hub gadgets: each tree spans every gadget vertex, the hub (vertex
+    # 0) included, and the two share the pendant edge or nothing.
+    for fx in [bases.PENDANT] + [bases.wheel(k) for k in range(3, 11)]:
+        n, edges = fx["n"], fx["edges"]
+        assert is_spanning_tree(n, edges, fx["tree1"]), fx
+        assert is_spanning_tree(n, edges, fx["tree2"]), fx
+        shared = set(fx["tree1"]) & set(fx["tree2"])
+        assert shared == set(fx["shared"]) and len(shared) == (n == 2), fx
+        assert set(fx["tree1"]) | set(fx["tree2"]) == set(range(len(edges))), fx
+
+
+def test_k4_pairs_are_vertex_disjoint_tree2_edges():
+    a, b = bases.K4_EDST["pairs"]
+    edges = bases.K4_EDST["edges"]
+    assert {a, b} <= set(bases.K4_EDST["tree2"])
+    assert not set(edges[a]) & set(edges[b])

@@ -4,7 +4,7 @@ import io
 import json
 import os
 import tracemalloc
-from itertools import zip_longest
+from itertools import groupby, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -113,11 +113,26 @@ def test_unknown_mode_rejected():
 # -- bucket queries -----------------------------------------------------------
 
 
-def test_find_vertex_with_degree():
+def test_pop_vertex():
     g = triangle()
-    assert g.degree(g.find_vertex_with_degree(2)) == 2
+    assert g._buckets[2] == [1, 2, 0]
+    assert g._pop_vertex(2) == 0 and g._buckets[2] == [1, 2]
+    # Vertex 2 moves on to degree 3: the next pop drops its stale entry
+    # and returns vertex 1 under it.
+    w = g.add_vertex()
+    g.add_edge(2, w)
+    assert g._pop_vertex(2) == 1 and g._buckets[2] == []
+    # Vertex 0 still has degree 2, but its one entry is gone.
     with pytest.raises(GraphError):
-        g.find_vertex_with_degree(5)
+        g._pop_vertex(2)
+    # Bucket 1 is [0, 1, 2, w]: only w is valid.
+    assert g._buckets[1] == [0, 1, 2, w]
+    assert g._pop_vertex(1) == w
+    with pytest.raises(GraphError):
+        g._pop_vertex(1)
+    assert g._buckets[1] == []
+    with pytest.raises(GraphError):
+        g._pop_vertex(5)  # no bucket at all
 
 
 def test_validate_needs_a_bucket_entry_at_the_current_degree():
@@ -132,7 +147,7 @@ def test_attach_run_on_triangle():
     g = triangle()
     e = g.attach_run([2, 2])
     w = 3
-    assert g.degree(w) == 2 and g.num_edges == 5
+    assert g.vdeg[w] == 2 and g.num_edges == 5
     assert [g.eflag[e], g.eflag[e + 1]] == [FLAG_T1, FLAG_T2]
     targets = {v for f in (e, e + 1) for v in g.endpoints(f)} - {w}
     assert len(targets) == 2  # two distinct previously-degree-2 vertices
@@ -143,7 +158,7 @@ def test_attach_run_on_k2():
     g = build_fixed("simple", 2, [(0, 1, FLAG_NONE)])
     e = g.attach_run([1])
     assert sorted(g.degrees()) == [1, 1, 2]
-    assert g.degree(2) == 1 and g.eflag[e] == FLAG_NONE
+    assert g.vdeg[2] == 1 and g.eflag[e] == FLAG_NONE
 
 
 def test_attach_run_ascending_targets_repeat_in_multi():
@@ -153,7 +168,7 @@ def test_attach_run_ascending_targets_repeat_in_multi():
     e = g.attach_run([1, 2])
     assert g.endpoints(e) == g.endpoints(e + 1)
     assert sorted(g.degrees()) == [1, 2, 3]
-    assert g.degree(2) == 2
+    assert g.vdeg[2] == 2
     assert g.validate()
 
 
@@ -165,7 +180,7 @@ def test_attach_run_never_targets_itself():
     for f in range(e, e + 3):
         u, v = g.endpoints(f)
         assert v == 3 and u != v
-    assert g.degree(3) == 3
+    assert g.vdeg[3] == 3
 
 
 def test_attach_run_missing_degree():
@@ -235,12 +250,12 @@ def test_replace_edge_rejects_incident_anchor():
         replace_edge_with_degree3_vertex(g, 0, 0)
 
 
-def degree3_steps(g, old_maxima, t2_pair):
-    """Reference for ``replay_degree3_insertions``: one
-    ``replace_edge_with_degree3_vertex`` per old maximum d1, at a vertex
-    of degree d1 - 1, on the pair edge avoiding it.  Returns the pair."""
-    for d1 in old_maxima:
-        u = g.find_vertex_with_degree(d1 - 1)
+def degree3_steps(g, runs, t2_pair):
+    """Reference for ``replay_degree3_insertions``: for each run (d1, k),
+    k ``replace_edge_with_degree3_vertex`` steps, each at a vertex of
+    degree d1 - 1, on the pair edge avoiding it.  Returns the pair."""
+    for d1 in (d1 for d1, k in runs for _ in range(k)):
+        u = g._pop_vertex(d1 - 1)
         pick, other = t2_pair
         if u in g.endpoints(pick):
             pick, other = other, pick
@@ -249,32 +264,42 @@ def degree3_steps(g, old_maxima, t2_pair):
     return t2_pair
 
 
+def _runs(old_maxima):
+    """The (d1, k) runs of equal entries of ``old_maxima``."""
+    return [(d1, len(list(same))) for d1, same in groupby(old_maxima)]
+
+
 def test_replay_degree3_insertions_matches_single_steps():
     # Runs of 4s past their first two steps take the bulk path, also
     # after steps with another old maximum, and before a failing step.
+    # A run of 4s split in two, as consecutive plan steps may pass it,
+    # gives the same steps.
     mixed = [
-        [4, 4, 5, 4, 4, 4, 4],
-        [4] * 4 + [5] * 2 + [4] * 7 + [6] + [4] * 3 + [5] * 3 + [4] * 2,
-        [4, 5, 4, 5, 4, 4, 4, 5, 5, 5, 4, 4, 4, 4, 4, 4, 5],
-        [4] * 6 + [9],
+        _runs([4, 4, 5, 4, 4, 4, 4]),
+        _runs([4] * 4 + [5] * 2 + [4] * 7 + [6] + [4] * 3 + [5] * 3 + [4] * 2),
+        _runs([4, 5, 4, 5, 4, 4, 4, 5, 5, 5, 4, 4, 4, 4, 4, 4, 5]),
+        _runs([4] * 6 + [9]),
+        [(4, 1), (4, 6)],
+        [(4, 2), (4, 2), (4, 5)],
+        [(4, 3), (4, 3), (5, 1), (4, 4), (4, 1)],
     ]
-    for old_maxima in [[4] * k for k in range(301)] + mixed:
+    for runs in [[(4, k)] for k in range(301)] + mixed:
         batched = _k4_two_trees()
         stepped = _k4_two_trees()
         try:
-            pair = batched.replay_degree3_insertions(old_maxima, (3, 5))
+            pair = batched.replay_degree3_insertions(runs, (3, 5))
         except GraphError:
             pair = None
         try:
-            step_pair = degree3_steps(stepped, old_maxima, (3, 5))
+            step_pair = degree3_steps(stepped, runs, (3, 5))
         except GraphError:
             step_pair = None
-        assert pair == step_pair, old_maxima
+        assert pair == step_pair, runs
         for name in ("eu", "ev", "eflag", "elabel", "vdeg", "_dead"):
-            assert getattr(batched, name) == getattr(stepped, name), (old_maxima, name)
-        assert batched.validate() and stepped.validate(), old_maxima
+            assert getattr(batched, name) == getattr(stepped, name), (runs, name)
+        assert batched.validate() and stepped.validate(), runs
         for deg in set(stepped.vdeg):
-            assert _valid_pop_order(batched, deg) == _valid_pop_order(stepped, deg), (old_maxima, deg)
+            assert _valid_pop_order(batched, deg) == _valid_pop_order(stepped, deg), (runs, deg)
 
 
 def c4_merge_step(g, pairs):
@@ -299,11 +324,11 @@ def c4_merge_step(g, pairs):
 
 
 def _valid_pop_order(g, deg):
-    """Every vertex ``_bucket_pop_valid(deg)`` yields until it runs dry."""
+    """Every vertex ``_pop_vertex(deg)`` yields until it runs dry."""
     out = []
     while True:
         try:
-            out.append(g._bucket_pop_valid(deg))
+            out.append(g._pop_vertex(deg))
         except GraphError:
             return out
 
@@ -357,6 +382,56 @@ def test_replay_c4_merges_from_other_starts_match_single_steps(start, pendant_at
             assert _valid_pop_order(batched, deg) == _valid_pop_order(stepped, deg), (k, deg)
 
 
+def attach_wheel(g, hub, k):
+    """Reference for ``bases.attach(g, bases.wheel(k), hub)``: k new
+    vertices, the spokes from ``hub``, then the ring, added edge by edge
+    and flagged afterwards."""
+    xs = [g.add_vertex() for _ in range(k)]
+    spokes = [g.add_edge(hub, x) for x in xs]
+    ring = [g.add_edge(xs[i], xs[(i + 1) % k]) for i in range(k)]
+    for i in range(k - 1):
+        g.eflag[spokes[i]] = FLAG_T1
+    g.eflag[spokes[k - 1]] = FLAG_T2
+    for i in range(k):
+        g.eflag[ring[i]] = FLAG_T1 if i == k - 2 else FLAG_T2
+
+
+WHEEL_STARTS = {
+    "one-shared-6": (lambda: bases.attach(LabeledMultigraph("simple"), bases.ONE_SHARED_DEG3[6]), 0),
+    "gate": (lambda: realize_tc(DegreeSequence(LARGE_FAMILIES["gate"](60)), "simple").graph, 17),
+}
+
+
+def test_wheel_fixture_matches_edge_by_edge_wheel():
+    for where, (make, hub) in WHEEL_STARTS.items():
+        for k in range(3, 11):
+            fixture, reference = make(), make()
+            bases.attach(fixture, bases.wheel(k), hub)
+            attach_wheel(reference, hub, k)
+            for name in ("eu", "ev", "eflag", "vdeg"):
+                assert getattr(fixture, name) == getattr(reference, name), (where, k, name)
+            for deg in set(reference.vdeg):
+                assert _valid_pop_order(fixture, deg) == _valid_pop_order(reference, deg), (where, k)
+
+
+def _pop_vertex_excluding(g, deg, exclude):
+    """Pop a vertex of degree ``deg`` not in ``exclude``: stale entries
+    above it are dropped, excluded ones pushed back in their order."""
+    bucket = g._buckets.get(deg)
+    stash = []
+    while bucket:
+        v = bucket.pop()
+        if g.vdeg[v] != deg:
+            continue
+        if v not in exclude:
+            bucket.extend(reversed(stash))
+            return v
+        stash.append(v)
+    if stash:
+        bucket.extend(reversed(stash))
+    raise GraphError(f"no available vertex of degree {deg}")
+
+
 def attach_step(g, targets, allow_repeat_target=False):
     """Reference step for ``attach_run``: one vertex joined to a vertex of
     each degree in ``targets``, looked up in order, by a tree-1 and a
@@ -367,7 +442,7 @@ def attach_step(g, targets, allow_repeat_target=False):
     chosen = {w}
     flags = (FLAG_T1, FLAG_T2) if len(targets) > 1 else ()
     for x, flag in zip_longest(targets, flags, fillvalue=FLAG_NONE):
-        u = g._bucket_pop_valid(x, chosen)
+        u = _pop_vertex_excluding(g, x, chosen)
         if not allow_repeat_target:
             chosen.add(u)
         g.add_edge(u, w, flag)
@@ -457,7 +532,7 @@ def test_attach_run_failure_keeps_the_edges_added():
     with pytest.raises(GraphError):
         g.attach_run((2, 2, 2))
     assert g.degrees() == [1, 3, 3, 1, 2] and g.validate()
-    assert g._bucket_pop_valid(2) == 4
+    assert g._pop_vertex(2) == 4
 
 
 def _k4_two_trees():
@@ -469,7 +544,7 @@ def _k4_two_trees():
 def test_replay_failure_keeps_the_steps_done():
     g = _k4_two_trees()
     with pytest.raises(GraphError):
-        g.replay_degree3_insertions([4, 4, 9], (3, 5))  # no vertex of degree 8
+        g.replay_degree3_insertions([(4, 2), (9, 1)], (3, 5))  # no vertex of degree 8
     assert g.n == 6
     assert len(g.eu) == len(g.ev) == len(g.eflag) == len(g.elabel) == 12
     assert g.num_edges == 10
