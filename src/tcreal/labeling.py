@@ -22,14 +22,19 @@ is at most 2n.
 
 The labels are written straight into the graph's ``elabel`` list; the
 returned ``TemporalLabeling`` carries only the largest label used.
+
+An int table sets this layer's memory.  CPython allocates a 32-byte
+object for each int above 256 that ``range`` or ``+=`` makes, so
+``pivot_label`` takes every edge id, half-edge index and label it stores
+from one table, ``list(range(max(2n, m) + 3))``; its objects become the
+labels themselves.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import chain, compress, count
+from itertools import chain, compress
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .graphstore import _IN_TREE1, _IN_TREE2, FLAG_BOTH, FLAG_NONE, GraphError, LabeledMultigraph
 
@@ -43,43 +48,39 @@ class TemporalLabeling:
     max_label: int
 
 
-def _write_labels(
-    elabel: List[Optional[int]], edges: Iterable[int], first: int
-) -> None:
-    """Give ``edges`` the consecutive labels first, first + 1, ..."""
-    deque(map(elabel.__setitem__, edges, count(first)), maxlen=0)
+def _label_tree(
+    g: LabeledMultigraph, mask: bytes, roots: Sequence[int],
+    elabel: List[Optional[int]], ints: List[int], first: int, step: int,
+) -> int:
+    """BFS the tree whose edges ``mask`` selects from the root set, labeling it.
 
-
-def _layered_order(
-    g: LabeledMultigraph,
-    edge_ids: Sequence[int],
-    roots: Sequence[int],
-) -> List[int]:
-    """BFS the subgraph made of ``edge_ids`` from the root set.
-
-    Returns, in BFS (shallowest-first) order, the discovery edge of each
-    newly reached vertex.  Raises if the edges do not reach every vertex.
+    The discovery edge of each newly reached vertex, in BFS
+    (shallowest-first) order, gets the next label of first,
+    first + step, ...  Returns the number of tree edges.  Raises if the
+    edges do not reach every vertex or contain a cycle.  Edge ids,
+    half-edge indices and labels all come from the ``ints`` table.
     """
     n = g.n
     # Compact linked adjacency (avoids allocating n per-vertex lists).
     # Half-edge 2j leads from u to v and half-edge 2j + 1 from v to u,
-    # where (u, v) are the ends of edge_ids[j]; each vertex chains its
-    # half-edges newest first.
-    us = list(map(g.eu.__getitem__, edge_ids))
-    vs = list(map(g.ev.__getitem__, edge_ids))
-    to = list(chain.from_iterable(zip(vs, us)))
+    # where (u, v) are the ends of the j-th tree edge; each vertex chains
+    # its half-edges newest first.
+    ids = list(compress(ints, mask))
+    to = list(chain.from_iterable(zip(compress(g.ev, mask), compress(g.eu, mask))))
+    h = len(to)
+    if h > len(ints):
+        # More than n + 1 edges hold a cycle, reported after the BFS like
+        # any other; the shared table only covers valid trees.
+        ints = list(range(h))
     head = [-1] * n
-    nxt = [0] * len(to)
-    i = 0
-    for u, v in zip(us, vs):
+    nxt = [0] * h
+    for u, v, i, j in zip(compress(g.eu, mask), compress(g.ev, mask),
+                          ints[0:h:2], ints[1:h:2]):
         nxt[i] = head[u]
         head[u] = i
-        i += 1
-        nxt[i] = head[v]
-        head[v] = i
-        i += 1
+        nxt[j] = head[v]
+        head[v] = j
     seen = [False] * n
-    order: List[int] = []
     # The queue only grows: iterating a list while appending to it
     # visits every vertex in FIFO order.
     queue: List[int] = []
@@ -87,22 +88,23 @@ def _layered_order(
         if not seen[r]:
             seen[r] = True
             queue.append(r)
-    append = order.append
     push = queue.append
+    lab = first
     for x in queue:
         i = head[x]
         while i >= 0:
             v = to[i]
             if not seen[v]:
                 seen[v] = True
-                append(edge_ids[i >> 1])
+                elabel[ids[i >> 1]] = ints[lab]
+                lab += step
                 push(v)
             i = nxt[i]
     if False in seen:
         raise GraphError("certificate tree does not span the graph")
-    if 2 * len(order) != len(to):
+    if 2 * abs(lab - first) != h:
         raise GraphError("certificate tree contains a cycle")
-    return order
+    return h >> 1
 
 
 def _cycle_edge_ids(
@@ -136,15 +138,19 @@ def pivot_label(g: LabeledMultigraph) -> TemporalLabeling:
 
     Writes every edge's label into ``g.elabel``, after clearing the list
     so no earlier label survives.  Requires a finished graph whose tree
-    flags form a valid certificate: two spanning trees covering every
-    edge, sharing at most two edges; two shared edges must lie on the
-    recorded central 4-cycle.
+    flags form a valid certificate: two spanning trees sharing at most
+    two edges, where two shared edges must lie on the recorded central
+    4-cycle.  Edges outside both trees are allowed; they get fresh labels
+    above the trees' ones.
     """
-    ids = g.edge_ids()
+    m = len(g.edge_ids())
     elabel = g.elabel
-    elabel[:] = [None] * len(ids)
+    elabel[:] = [None] * m
     if g.n == 0:
         return TemporalLabeling(0)
+    # Every edge id, half-edge index and label stored below is one of
+    # these objects: no int above 256 is allocated per edge.
+    ints = list(range(max(2 * g.n, m) + 3))
 
     flags = bytearray(g.eflag)
     cycle = g.central_cycle
@@ -165,43 +171,39 @@ def pivot_label(g: LabeledMultigraph) -> TemporalLabeling:
     # depend on the edge order alone, not on the id values.
     for e in central:
         flags[e] = FLAG_NONE
-    up_edges = list(compress(ids, flags.translate(_IN_TREE1)))
-    down_edges = list(compress(ids, flags.translate(_IN_TREE2)))
+    up_mask = flags.translate(_IN_TREE1)
 
-    # Collection phase: deepest discovery edges first, so labels strictly
-    # increase along every path toward the root set.
-    up_order = _layered_order(g, up_edges, roots)
-    t_r = len(up_order)
-    _write_labels(elabel, reversed(up_order), 1)
+    # Collection phase: labels t_r, t_r - 1, ..., 1 in BFS order, so they
+    # strictly increase along every path toward the root set.
+    t_r = _label_tree(g, up_mask, roots, elabel, ints, up_mask.count(1), -1)
     top = t_r
 
     # Central core.
     if cycle is not None:
-        ring = central
         # Opposite ring pairs; the pair holding the smallest edge id fires first.
-        pair_a, pair_b = (ring[0], ring[2]), (ring[1], ring[3])
+        pair_a, pair_b = (central[0], central[2]), (central[1], central[3])
         if min(pair_b) < min(pair_a):
             pair_a, pair_b = pair_b, pair_a
         for e in pair_a:
-            elabel[e] = t_r + 1
+            elabel[e] = ints[t_r + 1]
         for e in pair_b:
-            elabel[e] = t_r + 2
+            elabel[e] = ints[t_r + 2]
         top = t_r + 2
     elif central:
         (s,) = central
-        elabel[s] = t_r + 1
+        elabel[s] = ints[t_r + 1]
         top = t_r + 1
 
     # Distribution phase: shallowest first, strictly increasing outward.
-    down_order = _layered_order(g, down_edges, roots)
-    _write_labels(elabel, down_order, t_r + 3)
-    if down_order:
-        top = t_r + 2 + len(down_order)
+    t_d = _label_tree(g, flags.translate(_IN_TREE2), roots, elabel, ints, t_r + 3, 1)
+    if t_d:
+        top = t_r + 2 + t_d
 
     # Anything outside both trees gets fresh labels on top.  When the
     # trees labeled every edge, the sweep over the edges is skipped.
     if None not in elabel:
         return TemporalLabeling(top)
-    extra = [e for e in ids if elabel[e] is None]
-    _write_labels(elabel, extra, top + 1)
+    extra = [e for e, lab in zip(ints, elabel) if lab is None]
+    for e, lab in zip(extra, ints[top + 1:]):
+        elabel[e] = lab
     return TemporalLabeling(top + len(extra))

@@ -1,5 +1,7 @@
 """Pivot labeling: properness, journey coverage, and the label bound."""
 
+import tracemalloc
+
 import pytest
 
 from tcreal import bases
@@ -92,18 +94,20 @@ def test_rejects_non_spanning_tree_edges():
         [(0, 1, FLAG_BOTH), (1, 2, FLAG_T1), (2, 3, FLAG_T2), (3, 0, 0)],
     )
     # tree1 misses vertex 3, tree2 misses vertex 0.
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^certificate tree does not span the graph$"):
         pivot_label(g)
 
 
 def test_rejects_cyclic_tree_edges():
-    g = build_fixed(
-        "simple",
-        3,
-        [(0, 1, FLAG_T1), (1, 2, FLAG_T1), (2, 0, FLAG_T1)],
-    )
-    with pytest.raises(GraphError):
-        pivot_label(g)
+    cases = [
+        ("simple", 3, [(0, 1, FLAG_T1), (1, 2, FLAG_T1), (2, 0, FLAG_T1)]),
+        # A spanning tree 1 with more half-edges than 2n + 3.
+        ("multi", 4, [(0, 1, FLAG_T1)] * 6 + [(1, 2, FLAG_T1), (2, 3, FLAG_T1)]),
+    ]
+    for mode, n, edges in cases:
+        g = build_fixed(mode, n, edges)
+        with pytest.raises(GraphError, match="^certificate tree contains a cycle$"):
+            pivot_label(g)
 
 
 def test_rejects_two_shared_edges_without_cycle():
@@ -199,3 +203,25 @@ def test_reloaded_graph_relabels_identically():
                 built = [(g.eu[e], g.ev[e], g.elabel[e]) for e in g.edge_ids()]
                 reloaded = [(h.eu[e], h.ev[e], h.elabel[e]) for e in h.edge_ids()]
                 assert reloaded == built, (name, n, mode)
+
+
+@pytest.mark.parametrize("mode", ["simple", "multi"])
+@pytest.mark.parametrize("family", [
+    lambda n: [4] * (n - 2) + [2, 2],   # gate: edge-disjoint trees
+    lambda n: [4] * (n - 4) + [2] * 4,  # C4: central cycle
+    lambda n: [4] * (n - 3) + [2] * 3,  # one shared edge
+], ids=["gate", "c4", "one-shared"])
+def test_relabel_peak_memory_per_edge(family, mode):
+    # Edge ids, half-edge indices and labels come from one int table, so
+    # no int object is allocated per edge: the peak, the labels included,
+    # reads about 75 B per edge.  A fresh int for each would read 131.
+    g = realize_tc(DegreeSequence(family(5_000)), mode).graph
+    expected = list(g.elabel)
+    tracemalloc.start()
+    try:
+        pivot_label(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.elabel == expected
+    assert peak <= 100 * g.num_edges, peak / g.num_edges
