@@ -6,7 +6,8 @@ Subcommands:
 * ``build``  — construct, label, self-verify, and export a realization;
 * ``verify`` — re-check an exported graph document independently;
 * ``oracle`` — exhaustively cross-check the decision procedure against
-  the brute-force oracle at tiny scale.
+  the brute-force oracle at tiny scale;
+* ``bench``  — wall-time scaling measurements on a realizable family.
 
 Exit codes: 0 realizable / all checks pass, 1 not realizable / a check
 fails, 2 malformed input or an unwritable ``--out``, 3 internal invariant
@@ -22,7 +23,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, TextIO
 
-from .degseq import DegreeSequence, parse_sequence
+from .degseq import DegreeSequence, _shown, parse_sequence
 from .graphstore import FLAG_BOTH, GraphError, LabeledMultigraph
 from .realize import Decision, Reason, check_tc_realizable, realize_tc
 from .verify import (
@@ -227,6 +228,55 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if not disagreements else EXIT_NO
 
 
+# Smallest n at which the bench family [4]*(n-2)+[2,2] is realizable.
+_BENCH_MIN_N = {"simple": 6, "multi": 4}
+
+
+def cmd_bench(args: argparse.Namespace) -> int:
+    # The token rule of parse_sequence: ASCII decimal digits, separated
+    # by commas or whitespace.
+    tokens = args.sizes.replace(",", " ").split()
+    bad = [tok for tok in tokens if not (tok.isascii() and tok.isdigit())]
+    if bad:
+        print(f"malformed --sizes: bad token {_shown(bad[0])}",
+              file=sys.stderr)
+        return EXIT_INPUT
+    if not tokens:
+        print("--sizes must list at least one size", file=sys.stderr)
+        return EXIT_INPUT
+    sizes = [int(tok) for tok in tokens]
+    low = _BENCH_MIN_N[args.mode]
+    if any(n < low for n in sizes):
+        print(f"bench sizes must be at least {low} in {args.mode} mode",
+              file=sys.stderr)
+        return EXIT_INPUT
+    # The family's list of n - 2 fours needs n to fit an index.
+    if any(n > sys.maxsize for n in sizes):
+        print(f"bench sizes must be at most {sys.maxsize}", file=sys.stderr)
+        return EXIT_INPUT
+    rows = []
+    prev = None
+    for n in sizes:
+        d = DegreeSequence([4] * (n - 2) + [2, 2])
+        t0 = time.perf_counter()
+        result = realize_tc(d, args.mode)
+        elapsed = time.perf_counter() - t0
+        if not result.realizable:
+            print("internal error: bench family not realizable",
+                  file=sys.stderr)
+            return EXIT_INTERNAL
+        ratio = round(elapsed / prev, 3) if prev else None
+        rows.append({"n": n, "seconds": round(elapsed, 4), "ratio": ratio})
+        prev = elapsed
+    if args.format == "json":
+        print(json.dumps({"mode": args.mode, "runs": rows}))
+    else:
+        for row in rows:
+            ratio = f"  x{row['ratio']}" if row["ratio"] else ""
+            print(f"n={row['n']:>8}  {row['seconds']:.4f} s{ratio}")
+    return EXIT_OK
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tcreal",
@@ -269,6 +319,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, ("text", "json"))
     p.set_defaults(func=cmd_oracle)
 
+    p = sub.add_parser("bench", help="wall-time scaling measurements")
+    p.add_argument("--sizes", default="100000,200000,400000",
+                   help="comma-separated vertex counts")
+    add_common(p, ("text", "json"))
+    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -521,3 +521,60 @@ def test_oracle_json_report(capsys):
     report = json.loads(out)
     assert report["disagreements"] == []
     assert report["sequences_checked"] > 0
+
+
+# -- bench ----------------------------------------------------------------
+
+
+def test_bench_runs(capsys):
+    code, out, _ = run(
+        capsys, "bench", "--sizes", "1000,2000", "--format", "json"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert [row["n"] for row in report["runs"]] == [1000, 2000]
+    assert all(row["seconds"] >= 0 for row in report["runs"])
+
+
+def test_bench_rejects_bad_sizes(capsys):
+    code, _, err = run(capsys, "bench", "--sizes", "10,abc")
+    assert code == 2
+
+
+@pytest.mark.parametrize("mode,low", [("simple", 6), ("multi", 4)])
+def test_bench_rejects_sizes_below_the_family_minimum(capsys, mode, low):
+    # [4]*(n-2)+[2,2] is graphical only from n = 6; multigraphical from 4.
+    for n in range(low - 2, low):
+        code, out, err = run(capsys, "bench", "--mode", mode, "--sizes", str(n))
+        assert code == 2, n
+        assert f"at least {low} in {mode} mode" in err
+        assert out == ""
+    code, out, _ = run(capsys, "bench", "--mode", mode, "--sizes", str(low),
+                       "--format", "json")
+    assert code == 0
+    assert [row["n"] for row in json.loads(out)["runs"]] == [low]
+
+
+@pytest.mark.parametrize("sizes", ["99999999999999999999", "1000,99999999999999999999"])
+def test_bench_rejects_sizes_beyond_an_index(capsys, sizes):
+    # Larger than sys.maxsize: the family's list cannot be built at all.
+    code, out, err = run(capsys, "bench", "--sizes", sizes)
+    assert code == 2
+    assert "at most" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("sizes", ["1_000", "+10", "10,-12", "1e3", "１０"])
+def test_bench_sizes_take_ascii_digit_tokens_only(capsys, sizes):
+    code, out, err = run(capsys, "bench", "--sizes", sizes)
+    assert code == 2
+    assert "bad token" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("sizes", ["", ",", " , ,"])
+def test_bench_requires_a_size(capsys, sizes):
+    code, out, err = run(capsys, "bench", "--sizes", sizes)
+    assert code == 2
+    assert "at least one size" in err
+    assert out == ""
