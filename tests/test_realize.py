@@ -2,6 +2,7 @@
 
 import gc
 import math
+import random
 import time
 
 import pytest
@@ -350,6 +351,43 @@ def _connected(g):
                     seen.add(x)
                     stack.append(x)
     return len(seen) == g.n
+
+
+def _nonstrict_connectivity_inputs():
+    """Paths, stars, cycles and three-legged spiders at n = 4..298, then
+    400 seeded random trees' degrees plus 0-2 extra edges (n <= 200), so
+    m runs from n-1 to n+1."""
+    yield [1, 1]
+    for n in range(4, 300, 7):
+        yield [2] * (n - 2) + [1, 1]
+        yield [n - 1] + [1] * (n - 1)
+        yield [2] * n
+        yield [3] + [2] * (n - 4) + [1] * 3
+    rng = random.Random(27)
+    for _ in range(400):
+        n = rng.randint(2, 200)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        extra = rng.randint(0, 2)
+        while extra and len(edges) < n * (n - 1) // 2:
+            u, v = sorted(rng.sample(range(n), 2))
+            if (u, v) not in edges:
+                edges.add((u, v))
+                extra -= 1
+        degrees = [0] * n
+        for u, v in edges:
+            degrees[u] += 1
+            degrees[v] += 1
+        yield degrees
+
+
+@pytest.mark.parametrize("mode", ["simple", "multi"])
+def test_nonstrict_output_is_connected_by_construction(mode):
+    # The sparse end, m = n-1 to n+1, is where a replay that left its
+    # components apart would show.
+    for entries in _nonstrict_connectivity_inputs():
+        res = realize_nonstrict(DegreeSequence(entries), mode)
+        assert res.realizable, (mode, entries)
+        assert _connected(res.graph), (mode, entries)
 
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
