@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat, starmap
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import bases
 from .degseq import (
@@ -518,68 +518,24 @@ def _nonstrict_decision(d: DegreeSequence, mode: str) -> Decision:
     return Decision(True, mode, Reason.OK_SMALL_N)
 
 
-def _connect_components(g: LabeledMultigraph) -> None:
-    """Merge connected components by 2-swaps that preserve all degrees.
-
-    One union-find pass over the edges sorts each into a spanning-forest
-    edge or a spare, which closes a cycle.  Removing a spare leaves its
-    component connected, so trading a spare (a, b) and a forest edge
-    (c, d) of another component for (a, c) and (b, d) joins the two
-    without changing any degree.  The components with spares are merged
-    first, so the merged part holds every spare left when the trees
-    follow; m >= n-1 leaves one spare per merge.  Ends with ``finish()``.
-    """
-    eu, ev = g.eu, g.ev
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    link: Dict[int, int] = {}  # root -> a forest edge of its component
-    spares: List[int] = []
-    for e, u, v in zip(g.edge_ids(), eu, ev):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            spares.append(e)
-        else:
-            parent[ru] = rv
-            link[rv] = e
-    roots = [v for v, p in enumerate(parent) if v == p]
-    if len(roots) <= 1:
-        return
-    by_root: Dict[int, List[int]] = {}
-    for e in spares:
-        by_root.setdefault(find(eu[e]), []).append(e)
-    order = list(by_root) + [r for r in roots if r not in by_root]
-    pool = by_root.get(order[0], [])
-    for r in order[1:]:
-        if not pool:
-            raise GraphError("cannot connect: every component is a tree")
-        forest_edge = link.get(r)
-        if forest_edge is None:
-            # Only possible with isolated vertices, which the minimum
-            # degree condition rules out.
-            raise GraphError("cannot connect an edgeless component")
-        spare = pool.pop()
-        a, b = eu[spare], ev[spare]
-        c, d = eu[forest_edge], ev[forest_edge]
-        g.remove_edge(spare)
-        g.remove_edge(forest_edge)
-        g.add_edge(a, c)
-        g.add_edge(b, d)
-        pool += by_root.get(r, ())
-    g.finish()
-
-
 def realize_nonstrict(d: DegreeSequence, mode: str = "simple") -> RealizeResult:
     """Realize under non-decreasing journey semantics.
 
     Realizable iff (multi)graphical with m >= n-1 and min degree >= 1
-    (or n <= 1); the output is a connected realization with every edge
-    labeled 1.
+    (or n <= 1); the output has every edge labeled 1 and is connected by
+    construction, with no repair pass.  For n >= 2 the descent keeps
+    m >= n-1 and min degree >= 1:
+
+    * Simple mode lays off the minimum v onto the v largest entries:
+      n*v <= 2m gives m - v >= (n-1) - 1 when m >= n, a tree has v = 1,
+      and an entry reaches 0 only at (1, 1).  So the descent ends at (0),
+      and each replayed step adds a vertex with an edge into the graph
+      built so far (a run of 2s is k such lay-offs).
+    * Multi mode peels an edge between the maximum and the smallest
+      positive entry; with p positive entries m >= p-1 holds, so the
+      maximum is 1 only at (1, 1, 0, ...).  Replayed in reverse, every
+      step after the first pops a vertex of degree d1-1 >= 1, in the one
+      component with edges, and at the end no vertex has degree 0.
     """
     decision = _nonstrict_decision(d, mode)
     if not decision.realizable:
@@ -587,8 +543,8 @@ def realize_nonstrict(d: DegreeSequence, mode: str = "simple") -> RealizeResult:
     cur = d.copy()
     plan: List[tuple] = []
     if mode == "simple":
-        # Lay off the minimum entry (a run of 2s at once) down to
-        # isolated vertices, replayed as vertex attachments onto them.
+        # Lay off the minimum entry (a run of 2s at once) down to one
+        # vertex, replayed as vertex attachments onto it.
         while cur.total > 0:
             plan.append(_lay_off_min(cur, cur.n))
     else:
@@ -612,8 +568,6 @@ def realize_nonstrict(d: DegreeSequence, mode: str = "simple") -> RealizeResult:
     for _ in range(cur.n):
         g.add_vertex()
     _replay(g, plan)
-    if d.n >= 2:
-        _connect_components(g)
     # The lay-offs flag tree edges, but non-strict outputs carry no trees.
     g.eflag[:] = [FLAG_NONE] * g.num_edges
     g.elabel[:] = [1] * g.num_edges

@@ -154,8 +154,10 @@ def test_route_corpus_digest(monkeypatch):
     def route_record(mode, d):
         attached.clear()
         record = case_record(mode, d)
-        route = bases.C4_GADGET if d.total == 4 * d.n - 8 else bases.ONE_SHARED_DEG3[6]
-        assert any(f is route for f in attached), (mode, d.entries)
+        if d.total == 4 * d.n - 8:
+            assert any(f is bases.C4_GADGET for f in attached), (mode, d.entries)
+        else:
+            assert attached == [bases.ONE_SHARED_DEG3[6], bases.wheel(d.n - 6)], (mode, d.entries)
         return record
 
     for cases, digest in digest_with_and_without_debug_asserts(route_record, route_cases):

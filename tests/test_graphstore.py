@@ -23,7 +23,7 @@ from tcreal.graphstore import (
 )
 from tcreal.degseq import DegreeSequence
 from tcreal.labeling import pivot_label
-from tcreal.realize import _connect_components, realize_tc
+from tcreal.realize import realize_tc
 from tcreal.verify import (
     certificate_violation,
     enumerate_sequences,
@@ -600,7 +600,6 @@ def _unfinished():
     lambda g: g.write_dot(io.StringIO()),
     lambda g: g.to_json(),
     lambda g: g.to_dot(),
-    _connect_components,
     simplicity_violation,
     properness_violation,
     tc_violation,

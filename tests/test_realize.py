@@ -8,10 +8,8 @@ import time
 import pytest
 
 from tcreal.degseq import DegreeSequence, set_debug_asserts
-from tcreal.graphstore import GraphError
 from tcreal.realize import (
     Reason,
-    _connect_components,
     build_c4_pivotable,
     build_one_shared,
     build_two_edst,
@@ -27,7 +25,7 @@ from tcreal.verify import (
     validate_certificate,
 )
 
-from conftest import LARGE_FAMILIES, build_fixed, live_incidence, to_json_dict
+from conftest import LARGE_FAMILIES, live_incidence, to_json_dict
 
 
 def seq(*values):
@@ -388,46 +386,3 @@ def test_nonstrict_output_is_connected_by_construction(mode):
         res = realize_nonstrict(DegreeSequence(entries), mode)
         assert res.realizable, (mode, entries)
         assert _connected(res.graph), (mode, entries)
-
-
-TRIANGLE = [(0, 1), (1, 2), (2, 0)]
-K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
-
-def _shifted(edges, k):
-    return [(u + k, v + k) for u, v in edges]
-
-
-@pytest.mark.parametrize("n, edges", [
-    # Two triangles.
-    (6, TRIANGLE + _shifted(TRIANGLE, 3)),
-    # Two triangles and a lone edge, a tree that needs a triangle's spare.
-    (8, TRIANGLE + _shifted(TRIANGLE, 3) + [(6, 7)]),
-    # Two lone edges ahead of K4: the trees come first in vertex order.
-    (8, [(0, 1), (2, 3)] + _shifted(K4, 4)),
-])
-@pytest.mark.parametrize("mode", ["simple", "multi"])
-def test_connect_components_merges_by_degree_preserving_swaps(n, edges, mode):
-    g = build_fixed(mode, n, [(u, v, 0) for u, v in edges])
-    degrees = g.degrees()
-    assert not _connected(g)
-    _connect_components(g)
-    assert _connected(g)
-    assert g.degrees() == degrees
-    assert g.num_edges == len(edges)
-    assert g.validate()
-    pairs = [frozenset(g.endpoints(e)) for e in g.edge_ids()]
-    if mode == "simple":
-        assert len(set(pairs)) == len(pairs)
-
-
-@pytest.mark.parametrize("n, edges", [
-    (4, [(0, 1), (2, 3)]),
-    (5, [(0, 1), (1, 2), (3, 4)]),
-    # One spare is not enough for two merges.
-    (7, TRIANGLE + [(3, 4), (5, 6)]),
-])
-def test_connect_components_rejects_too_few_spares(n, edges):
-    g = build_fixed("simple", n, [(u, v, 0) for u, v in edges])
-    with pytest.raises(GraphError):
-        _connect_components(g)
