@@ -17,6 +17,7 @@ failure, 141 (128 + SIGPIPE) stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -277,6 +278,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Built once per process: in-process callers, such as the tests and the
+# benchmark harness, call main() many times, and rebuilding the five
+# subparsers costs more than a small check or verify.  A parse leaves
+# the parser unchanged.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tcreal",

@@ -4,8 +4,10 @@ A sequence is kept sorted non-increasingly at all times.  The canonical
 storage is a doubly-linked list of buckets ``(value, count)`` with strictly
 decreasing values, which makes laying off an entry of value ``d`` an
 ``O(d)`` operation instead of a re-sort.  Runs of equal steps take O(1)
-in all: ``split_max_and_drop_min_run`` for the tight degree-3 steps and
-``lay_off_two_run`` for the lay-offs of 2s onto a repeated maximum.
+in all: ``split_max_and_drop_min_run`` for the tight degree-3 steps,
+``lay_off_run`` for the lay-offs of a minimum v onto v entries of the
+maximum, and ``peel_edge_run`` for edges between two entries of the
+maximum.
 
 Every mutation is a few calls of two bucket primitives: ``_put`` adds
 entries just below a bucket, merging into the next one when it holds the
@@ -300,26 +302,53 @@ class DegreeSequence:
         self._drop(self.tail, k)  # the split entries, if all were equal
         return value, k
 
-    def lay_off_two_run(self, limit: int) -> Tuple[int, int]:
-        """Take k tail lay-offs of a 2 at once, in O(1), each joining the
-        2 to two entries of the maximum v (``lay_off_graphical``).
+    def lay_off_run(self, limit: int) -> Tuple[int, int]:
+        """Take k lay-offs of the minimum v >= 2 at once, in O(1), each
+        joining one entry of v to v entries of the maximum h > v
+        (``lay_off_graphical``).
 
-        Applies while the minimum is 2 and the maximum bucket holds at
-        least two entries of v >= 4, so every step sees the same v and
-        its v - 1 entries never meet the 2s; k is the most steps up to
-        ``limit`` that do.  Returns ``(v - 1, k)``, or ``(0, 0)`` with
-        nothing changed where no step applies.
+        Every step sees the same v and h while the maximum bucket holds
+        v entries and an entry of v is left to lay off: k is at most
+        ``head.count // v``, at most the count of v unless the new
+        entries of h - 1 join it (h - 1 = v), and at most ``limit``.
+        Returns ``(h - 1, k)``, or ``(0, 0)`` with nothing changed where
+        no step applies.
         """
         if limit < 1:
             raise ValueError("a run needs at least one step")
         head, tail = self.head, self.tail
-        if tail is None or tail.value != 2 or head.value < 4 or head.count < 2:
+        if head is tail or tail.value < 2 or head.count < tail.value:
+            return 0, 0
+        v = tail.value
+        value = head.value - 1
+        k = min(limit, head.count // v)
+        if value != v:
+            k = min(k, tail.count)
+        self._put(head, value, v * k)
+        self._drop(head, v * k)
+        self._drop(tail, k)
+        return value, k
+
+    def peel_edge_run(self, limit: int) -> Tuple[int, int]:
+        """Take k steps at once, in O(1), each decrementing two entries of
+        the maximum h (``decrement_one_of_value(h)`` twice), the ends of
+        one peeled edge.
+
+        k is the most steps up to ``limit`` whose two entries both sit in
+        the maximum bucket, ``head.count // 2``.  Returns ``(h - 1, k)``,
+        or ``(0, 0)`` with nothing changed where no step applies.
+        """
+        if limit < 1:
+            raise ValueError("a run needs at least one step")
+        head = self.head
+        if head is None or head.count < 2:
             return 0, 0
         value = head.value - 1
-        k = min(limit, head.count // 2, tail.count)
+        if value < 0:
+            raise ValueError("cannot decrement an entry of value <= 0")
+        k = min(limit, head.count // 2)
         self._put(head, value, 2 * k)
         self._drop(head, 2 * k)
-        self._drop(tail, k)
         return value, k
 
     def _check_consistency(self) -> None:

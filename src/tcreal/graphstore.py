@@ -419,6 +419,58 @@ class LabeledMultigraph:
             self.elabel += (None,) * done
         return e0
 
+    def edge_run(self, x: int, y: int, k: int = 1) -> int:
+        """Add ``k`` edges, each between a vertex of degree ``x`` and then
+        one of degree ``y``, both popped before either degree changes;
+        returns the id of the first new edge.
+
+        This replays ``k`` peeled edges of one shape, each as
+        ``add_edge(_pop_vertex(x), _pop_vertex(y))`` would: the same
+        pops, degrees and pushes, with the per-edge lists extended once.
+        Raises ``GraphError`` when a bucket runs dry or both pops find one
+        vertex, keeping the edges added; the failed step's found vertices
+        go back on their buckets, so ``validate()`` holds.
+        """
+        vdeg = self.vdeg
+        buckets = self._buckets
+        at_x, at_y = buckets[x], buckets[y]
+        up_x, up_y = buckets[x + 1], buckets[y + 1]
+        us: List[int] = []
+        vs: List[int] = []
+        e0 = len(self.eu)
+        u = None
+        try:
+            for _ in range(k):
+                u = at_x.pop()
+                while vdeg[u] != x:
+                    u = at_x.pop()
+                v = at_y.pop()
+                while vdeg[v] != y:
+                    v = at_y.pop()
+                if u == v:
+                    at_y.append(v)
+                    at_x.append(u)
+                    raise GraphError("self-loops are not allowed")
+                vdeg[u] = x + 1
+                up_x.append(u)
+                vdeg[v] = y + 1
+                up_y.append(v)
+                us.append(u)
+                vs.append(v)
+        except IndexError:
+            # u is found at x only when the lookup at y ran dry.
+            found = u is not None and vdeg[u] == x
+            if found:
+                at_x.append(u)
+            raise GraphError(f"no available vertex of degree {y if found else x}") from None
+        finally:
+            done = len(us)
+            self.eu += us
+            self.ev += vs
+            self.eflag += (FLAG_NONE,) * done
+            self.elabel += (None,) * done
+        return e0
+
     # -- degree bucket queries -------------------------------------------------
 
     def _pop_vertex(self, deg: int) -> int:

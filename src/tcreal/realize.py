@@ -19,12 +19,13 @@ graph from a plan.  Each step is a tagged tuple, replayed as:
 
 * ``("attach", targets, k)``, k lay-offs of the minimum: k new vertices,
   each joined to one vertex of each degree in ``targets``, which are
-  listed largest first (``attach_run``); a run of 2s is one step with
-  ``targets = (x, x)``;
-* ``("attach2", x, y)``, a multi-mode double lay-off of a 2: a new
-  vertex joined to vertices of degrees x <= y, maybe one vertex twice;
-* ``("edge", x, y)``, a peeled edge: an edge between vertices of
-  degrees x and y;
+  listed largest first (``attach_run``); a run of lay-offs of a minimum
+  v onto one maximum is one step with ``targets = (x,) * v``;
+* ``("attach2", x, y, k)``, k multi-mode double lay-offs of a 2: k new
+  vertices, each joined to vertices of degrees x <= y, maybe one vertex
+  twice;
+* ``("edge", x, y, k)``, k peeled edges, each between vertices of
+  degrees x and y (``edge_run``);
 * ``("split", d, k)``, k tight-sum splits of the maximum d: k degree-3
   vertices, each inserted astride a tree-2 edge.
 
@@ -165,10 +166,11 @@ def check_tc_realizable(d: DegreeSequence, mode: str = "simple") -> Decision:
 
 def _lay_off_min(cur: DegreeSequence, limit: int) -> tuple:
     """Lay off the minimum entry of ``cur``, or a run of up to ``limit``
-    2s in one ``lay_off_two_run``; returns the "attach" step."""
-    x, k = cur.lay_off_two_run(limit)
+    of them in one ``lay_off_run``; returns the "attach" step."""
+    v = cur.min_degree
+    x, k = cur.lay_off_run(limit)
     if k:
-        return ("attach", (x, x), k)
+        return ("attach", (x,) * v, k)
     return ("attach", tuple(chain.from_iterable(starmap(repeat, lay_off_graphical(cur)))), 1)
 
 
@@ -196,6 +198,9 @@ def _replay(g: LabeledMultigraph, plan: List[tuple]) -> LabeledMultigraph:
     Each "attach" step's targets do not increase, so no vertex is found
     twice (see ``attach_run``); debug asserts check it.  An "edge" step
     pops its ends, and degrees only grow, so it cannot find one twice.
+    Every "attach", "attach2" and "edge" step is one store call however
+    many lay-offs or edges it holds, and replays them exactly as single
+    steps would, so where a run is split never changes the graph.
     """
     dbg = debug_asserts_enabled()
     t2_pair = bases.K4_EDST["pairs"]
@@ -214,11 +219,11 @@ def _replay(g: LabeledMultigraph, plan: List[tuple]) -> LabeledMultigraph:
                 assert all(a >= b for a, b in zip(targets, targets[1:])), step
             g.attach_run(targets, step[2])
         elif tag == "edge":
-            g.add_edge(g._pop_vertex(step[1]), g._pop_vertex(step[2]))
+            g.edge_run(step[1], step[2], step[3])
         else:  # "attach2", which may hit one target twice, a parallel edge
-            e = g.attach_run(step[1:])
-            g.eflag[e] = FLAG_T2
-            g.eflag[e + 1] = FLAG_T1
+            k = step[3]
+            e = g.attach_run(step[1:3], k)
+            g.eflag[e:e + 2 * k] = (FLAG_T2, FLAG_T1) * k
     if runs:
         g.replay_degree3_insertions(runs, t2_pair)
     return g
@@ -277,21 +282,35 @@ def _build_two_edst(d: DegreeSequence, mode: str) -> LabeledMultigraph:
     plan: List[tuple] = []
     # Multi mode first peels surplus edges and double lay-offs of a 2,
     # down to (2, 2) or to a tight sum with minimum 3, which is graphical
-    # and takes the graphical descent below.
+    # and takes the graphical descent below.  Where the two largest
+    # entries share the maximum bucket, the steps go in runs.
     while mode == "multi" and (cur.n > 2 or cur.total > 4 * (cur.n - 1)):
-        d1 = cur.max_degree
-        d2 = cur.degree_at(2)
-        if cur.total > 4 * (cur.n - 1):
-            # Surplus edge between the two largest entries.
-            plan.append(("edge", d1 - 1, d2 - 1))
-            cur.decrement_one_of_value(d1)
-            cur.decrement_one_of_value(d2)
+        surplus = cur.total - 4 * (cur.n - 1)
+        if surplus > 0:
+            # Surplus edges between the two largest entries; each takes
+            # 2 of the even surplus.
+            x, k = cur.peel_edge_run(surplus // 2)
+            if k:
+                plan.append(("edge", x, x, k))
+            else:
+                d1 = cur.max_degree
+                d2 = cur.degree_at(2)
+                plan.append(("edge", d1 - 1, d2 - 1, 1))
+                cur.decrement_one_of_value(d1)
+                cur.decrement_one_of_value(d2)
         elif cur.min_degree == 2:
-            # Double lay-off of the minimum.
-            plan.append(("attach2", max(d1 - 1, d2) - 1, d1 - 1))
-            cur.remove_min_entry()
-            cur.decrement_one_of_value(d1)
-            cur.decrement_one_of_value(cur.max_degree)
+            # Double lay-offs of the minimum onto the two largest
+            # entries, which keep the sum tight, while n > 2.
+            x, k = cur.lay_off_run(cur.n - 2)
+            if k:
+                plan.append(("attach2", x, x, k))
+            else:
+                d1 = cur.max_degree
+                d2 = cur.degree_at(2)
+                plan.append(("attach2", max(d1 - 1, d2) - 1, d1 - 1, 1))
+                cur.remove_min_entry()
+                cur.decrement_one_of_value(d1)
+                cur.decrement_one_of_value(cur.max_degree)
         else:
             break
         _debug_seq(cur, "multi")
@@ -314,7 +333,10 @@ def _two_edst_descent(cur: DegreeSequence, plan: List[tuple]) -> None:
 
     ``cur`` is graphical with sum >= 4(n-1) and minimum degree >= 2.
     The steps are ("split", old maximum, count) runs of degree-3
-    insertions and the lay-off steps of _lay_off_min.
+    insertions and the lay-off steps of _lay_off_min, each a run of
+    equal lay-offs where the maximum bucket allows.  A lay-off of a 3
+    takes 2 from the slack total - 4(n-1), so a run of them stops where
+    a step would start at a tight sum, the split the loop checks for.
     """
     plan_append = plan.append
     dbg = debug_asserts_enabled()
@@ -332,7 +354,10 @@ def _two_edst_descent(cur: DegreeSequence, plan: List[tuple]) -> None:
             total -= 4 * k
             nn -= k
         else:
-            plan_append(_lay_off_min(cur, nn - 4))
+            limit = nn - 4
+            if cur.tail.value == 3:
+                limit = min(limit, (total - 4 * nn + 4) // 2)
+            plan_append(_lay_off_min(cur, limit))
             total = cur.total
             nn = cur.n
         if dbg:
@@ -530,7 +555,7 @@ def realize_nonstrict(d: DegreeSequence, mode: str = "simple") -> RealizeResult:
       n*v <= 2m gives m - v >= (n-1) - 1 when m >= n, a tree has v = 1,
       and an entry reaches 0 only at (1, 1).  So the descent ends at (0),
       and each replayed step adds a vertex with an edge into the graph
-      built so far (a run of 2s is k such lay-offs).
+      built so far (a run of lay-offs is k such steps).
     * Multi mode peels an edge between the maximum and the smallest
       positive entry; with p positive entries m >= p-1 holds, so the
       maximum is 1 only at (1, 1, 0, ...).  Replayed in reverse, every
@@ -543,7 +568,7 @@ def realize_nonstrict(d: DegreeSequence, mode: str = "simple") -> RealizeResult:
     cur = d.copy()
     plan: List[tuple] = []
     if mode == "simple":
-        # Lay off the minimum entry (a run of 2s at once) down to one
+        # Lay off the minimum entry (a run of them at once) down to one
         # vertex, replayed as vertex attachments onto it.
         while cur.total > 0:
             plan.append(_lay_off_min(cur, cur.n))
@@ -561,7 +586,7 @@ def realize_nonstrict(d: DegreeSequence, mode: str = "simple") -> RealizeResult:
             vj = last.value
             if idx < 2:
                 raise GraphError("multigraph residual degenerated")
-            plan.append(("edge", d1 - 1, vj - 1))
+            plan.append(("edge", d1 - 1, vj - 1, 1))
             cur.decrement_one_of_value(d1)
             cur.decrement_one_of_value(vj)
     g = LabeledMultigraph(mode)

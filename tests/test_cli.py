@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import errno
+import functools
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tcreal
+from tcreal import cli
 from tcreal.cli import main
 from tcreal.degseq import DegreeSequence
 from tcreal.graphstore import GraphError, LabeledMultigraph
@@ -254,6 +256,34 @@ def test_build_reports_a_library_graph_error_as_internal(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: no available vertex of degree 7\n"
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    build = cli._build_parser.__wrapped__
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(counted))
+    outputs = []
+    for _ in range(2):
+        code, out, err = run(capsys, "check", "--format", "json", "3", "3", "3", "3")
+        report = json.loads(out)
+        del report["ms"]  # the call's own timing
+        outputs.append((code, report, err))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert len(built) == 1
+    # An argparse rejection after a good call reads as from a new parser.
+    rejected = []
+    for parse in (main, build().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(["check", "--mode", "bogus", "3"])
+        rejected.append((exc.value.code, capsys.readouterr().err))
+    assert rejected[0] == rejected[1] and rejected[0][0] == 2
+    assert "invalid choice: 'bogus'" in rejected[0][1]
+    assert len(built) == 1
 
 
 # -- verify ---------------------------------------------------------------

@@ -204,24 +204,33 @@ def test_split_max_and_drop_min_run_matches_single_steps(values, limit):
     )
 
 
-def check_two_run_against_single_steps(values, limit):
-    """``lay_off_two_run(limit)`` equals its k ``lay_off_graphical`` steps,
-    each joining a 2 to two entries of the run's maximum; returns k."""
+def run_step_applies(d, v, h=None):
+    """Whether the next lay-off of ``d`` joins a minimum v >= 2 to v
+    entries of one maximum above v (of h, when given)."""
+    top = d.max_degree if d.n else 0
+    return (v >= 2 and d.n > v and d.min_degree == v and top > v
+            and d.degree_at(v) == top and h in (None, top))
+
+
+def check_lay_off_run_against_single_steps(values, limit):
+    """``lay_off_run(limit)`` equals its k ``lay_off_graphical`` steps,
+    each joining the minimum v to v entries of the run's maximum, and is
+    maximal; returns k."""
     run = DegreeSequence(values)
     steps = DegreeSequence(values)
-    target, k = run.lay_off_two_run(limit)
+    v = steps.min_degree if steps.n else 0
+    target, k = run.lay_off_run(limit)
     run._check_consistency()
+    assert 0 <= k <= limit
     for _ in range(k):
-        assert steps.min_degree == 2
-        assert steps.max_degree == steps.degree_at(2) == target + 1 >= 4
-        lay_off_graphical(steps)
+        assert steps.min_degree == v >= 2
+        # The step's shape: all v targets in the bucket of target + 1.
+        assert lay_off_graphical(steps) == [(target, v)]
     assert list(run.iter_buckets()) == list(steps.iter_buckets())
     assert (run.n, run.total) == (steps.n, steps.total)
-    # The run is maximal: one more step would see another maximum or no
-    # 2, or the limit was reached.
-    assert k == limit or steps.n < 2 or steps.min_degree != 2 or not (
-        steps.max_degree == steps.degree_at(2) >= 4
-        and (k == 0 or steps.max_degree == target + 1))
+    # The run is maximal: one more step would lay off another value or
+    # onto another maximum, or the limit was reached.
+    assert k == limit or not run_step_applies(steps, v, target + 1 if k else None)
     return k
 
 
@@ -234,26 +243,135 @@ def check_two_run_against_single_steps(values, limit):
     ([5] * 6 + [3] + [2] * 2, 10, 2),  # the 2s run out; 3 becomes the minimum
     ([4] * 6 + [3] * 2 + [2] * 4, 10, 3),  # head empties, 3s merge
     ([5] + [4] * 3 + [2] * 3, 10, 0),  # one maximum: no run
-    ([3] * 6 + [2] * 3, 10, 0),  # maximum 3: the 2s it makes would meet the 2s
-    ([4] * 4 + [3] * 2, 10, 0),  # no 2
+    ([3] * 6 + [2] * 3, 10, 3),  # maximum 3: the 2s it makes join the 2s
+    ([4] * 4 + [3] * 2, 10, 1),  # no 2: one lay-off of a 3, whose 3s join the 3s
     ([2] * 4, 10, 0),
     ([], 10, 0),
 ])
 def test_lay_off_two_run_matches_single_steps(values, limit, k):
-    assert check_two_run_against_single_steps(values, limit) == k
+    assert check_lay_off_run_against_single_steps(values, limit) == k
+
+
+@pytest.mark.parametrize("values, limit, k", [
+    ([5] * 6 + [3] * 4, 10, 2),  # two lay-offs of a 3 empty the head
+    ([5] * 7 + [3], 10, 1),  # the one 3 runs out; 4 becomes the minimum
+    ([4] * 9 + [3] * 2, 10, 3),  # the 3s the head makes join the 3s
+    ([4] * 9 + [3] * 2, 2, 2),  # the limit binds
+    ([7] * 12 + [4] * 2, 10, 2),  # v = 4; the 4s run out first
+    ([6] * 11 + [5] * 2, 10, 2),  # v = 5; the head empties to 5s but 1
+    ([6] * 4 + [5] * 2 + [3] * 4, 10, 1),  # the head holds one run of 3
+    ([4] * 2 + [3] * 3, 10, 0),  # two maxima, three needed
+    ([3] * 5, 10, 0),  # one bucket: the minimum is the maximum
+    ([3] * 4 + [1] * 2, 10, 0),  # minimum 1: lay-offs of 1s are single steps
+    ([2] * 2 + [0], 10, 0),  # minimum 0
+])
+def test_lay_off_run_matches_single_steps_for_any_minimum(values, limit, k):
+    assert check_lay_off_run_against_single_steps(values, limit) == k
 
 
 @given(
-    st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=20),
+    st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=24),
     st.integers(min_value=1, max_value=12),
 )
 def test_lay_off_two_run_matches_single_steps_on_random_sequences(values, limit):
-    check_two_run_against_single_steps(values, limit)
+    check_lay_off_run_against_single_steps(values, limit)
+
+
+def check_double_lay_off_run_against_single_steps(values, limit):
+    """On a minimum of 2, ``lay_off_run(limit)`` equals k double lay-offs
+    of the multi-mode loop (``remove_min_entry``, then
+    ``decrement_one_of_value`` of the maximum twice), each with the step
+    shape ``(target, target)``; returns k."""
+    run = DegreeSequence(values)
+    steps = DegreeSequence(values)
+    target, k = run.lay_off_run(limit)
+    run._check_consistency()
+    for _ in range(k):
+        assert steps.min_degree == 2
+        d1, d2 = steps.max_degree, steps.degree_at(2)
+        assert (max(d1 - 1, d2) - 1, d1 - 1) == (target, target)
+        steps.remove_min_entry()
+        steps.decrement_one_of_value(d1)
+        steps.decrement_one_of_value(steps.max_degree)
+    assert list(run.iter_buckets()) == list(steps.iter_buckets())
+    assert (run.n, run.total) == (steps.n, steps.total)
+    assert k == limit or not run_step_applies(steps, 2, target + 1 if k else None)
+    return k
+
+
+@pytest.mark.parametrize("values, limit, k", [
+    ([9] * 7 + [2] * 10, 10, 3),  # odd head count
+    ([9] * 8 + [2] * 3, 10, 3),  # the 2s run out
+    ([5] * 4 + [4] * 2 + [2] * 6, 1, 1),  # the limit binds
+    ([3] * 2 + [2], 10, 1),  # the 2s the head makes join the 2s
+    ([6] + [5] * 4 + [2] * 4, 10, 0),  # one maximum: a single step
+])
+def test_lay_off_run_matches_the_multi_double_lay_offs(values, limit, k):
+    assert check_double_lay_off_run_against_single_steps(values, limit) == k
+
+
+@given(
+    st.lists(st.integers(min_value=3, max_value=12), min_size=1, max_size=16),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12),
+)
+def test_lay_off_run_matches_the_multi_double_lay_offs_on_random_sequences(values, twos, limit):
+    check_double_lay_off_run_against_single_steps(values + [2] * twos, limit)
+
+
+def check_peel_edge_run_against_single_steps(values, limit):
+    """``peel_edge_run(limit)`` equals k peeled edges of the multi-mode
+    loop (``decrement_one_of_value`` of the two largest entries), each
+    with the step shape ``(target, target)``, and is maximal; returns k."""
+    run = DegreeSequence(values)
+    steps = DegreeSequence(values)
+    target, k = run.peel_edge_run(limit)
+    run._check_consistency()
+    assert 0 <= k <= limit
+    for _ in range(k):
+        d1, d2 = steps.max_degree, steps.degree_at(2)
+        assert (d1 - 1, d2 - 1) == (target, target)
+        steps.decrement_one_of_value(d1)
+        steps.decrement_one_of_value(d2)
+    assert list(run.iter_buckets()) == list(steps.iter_buckets())
+    assert (run.n, run.total) == (steps.n, steps.total)
+    # The run is maximal: the two largest entries now differ, or no
+    # longer hold the run's maximum, or the limit was reached.
+    assert k == limit or steps.n < 2 or not (
+        steps.max_degree == steps.degree_at(2)
+        and (k == 0 or steps.max_degree == target + 1))
+    return k
+
+
+@pytest.mark.parametrize("values, limit, k", [
+    ([6] * 5 + [2], 10, 2),  # odd head count; 5 opens a bucket
+    ([6] * 4 + [5] * 3, 10, 2),  # 5 merges into the next bucket
+    ([6] * 8, 3, 3),  # the limit binds
+    ([6] * 4, 10, 2),  # the head empties; all 5s
+    ([6] + [5] * 3, 10, 0),  # one maximum: a single step
+    ([1, 1], 10, 1),  # down to zeros
+    ([3], 10, 0),
+    ([], 10, 0),
+])
+def test_peel_edge_run_matches_single_steps(values, limit, k):
+    assert check_peel_edge_run_against_single_steps(values, limit) == k
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=20),
+    st.integers(min_value=1, max_value=12),
+)
+def test_peel_edge_run_matches_single_steps_on_random_sequences(values, limit):
+    check_peel_edge_run_against_single_steps(values, limit)
 
 
 def test_lay_off_two_run_rejects_an_empty_limit():
     with pytest.raises(ValueError):
-        DegreeSequence([4, 4, 2]).lay_off_two_run(0)
+        DegreeSequence([4, 4, 2]).lay_off_run(0)
+    with pytest.raises(ValueError):
+        DegreeSequence([4, 4, 2]).peel_edge_run(0)
+    with pytest.raises(ValueError):  # an edge between two 0s
+        DegreeSequence([0, 0]).peel_edge_run(1)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=12))

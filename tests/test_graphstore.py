@@ -23,7 +23,7 @@ from tcreal.graphstore import (
 )
 from tcreal.degseq import DegreeSequence
 from tcreal.labeling import pivot_label
-from tcreal.realize import realize_tc
+from tcreal.realize import _replay, realize_tc
 from tcreal.verify import (
     certificate_violation,
     enumerate_sequences,
@@ -507,6 +507,11 @@ def test_attach_run_matches_single_steps(start):
         # The "attach2" shape: the first target is met again at x + 1.
         for k in range(3):
             assert_attach_run_matches_steps(make, (x, x + 1), k, multi=True)
+        # Runs of lay-offs of a 3 or a 5, up to and past a dry bucket.
+        for r in (3, 5):
+            full = degrees.count(x) // r
+            for k in sorted({1, 2, full, full + 1}):
+                assert_attach_run_matches_steps(make, (x,) * r, k)
     # Single lay-offs onto the largest degrees, several distinct ones.
     for r in (3, 5, 8, 13):
         assert not assert_attach_run_matches_steps(make, tuple(top[:r]), 1)
@@ -533,6 +538,104 @@ def test_attach_run_failure_keeps_the_edges_added():
         g.attach_run((2, 2, 2))
     assert g.degrees() == [1, 3, 3, 1, 2] and g.validate()
     assert g._pop_vertex(2) == 4
+
+
+def attach2_step(g, x, y):
+    """Reference for one ``("attach2", x, y, 1)`` plan step: a vertex
+    joined to a vertex of degree x and then one of degree y, maybe the
+    same one, by a tree-2 and then a tree-1 edge."""
+    attach_step(g, (x, y), allow_repeat_target=True)
+    g.eflag[-2:] = [FLAG_T2, FLAG_T1]
+
+
+def edge_step(g, x, y):
+    """Reference for one ``("edge", x, y, 1)`` plan step; a failed step
+    puts the vertices it found back on their buckets."""
+    u = g._pop_vertex(x)
+    try:
+        v = g._pop_vertex(y)
+    except GraphError:
+        g._buckets[x].append(u)
+        raise
+    if u == v:
+        g._buckets[y].append(v)
+        g._buckets[x].append(u)
+    g.add_edge(u, v)  # raises on the self-loop
+
+
+def assert_plan_run_matches_steps(make, step, single):
+    """``_replay`` of the run ``step`` against ``step[-1]`` calls of the
+    reference ``single`` on two multi-mode copies of ``make()``: the same
+    lists and buckets, and a ``GraphError`` from both or from neither.
+    Returns whether both raised."""
+    batched, stepped = make(), make()
+    batched.mode = stepped.mode = "multi"
+    raised = []
+    try:
+        _replay(batched, [step])
+    except GraphError:
+        raised.append("batched")
+    try:
+        for _ in range(step[-1]):
+            single(stepped, *step[1:-1])
+    except GraphError:
+        raised.append("stepped")
+    assert raised in ([], ["batched", "stepped"]), (step, raised)
+    # A failed "attach2" run writes no tree flags; the steps done did.
+    names = ("eu", "ev", "elabel", "vdeg", "_dead") + (() if raised else ("eflag",))
+    for name in names:
+        assert getattr(batched, name) == getattr(stepped, name), (step, name)
+    assert batched.validate() and stepped.validate(), step
+    for deg in set(stepped.vdeg):
+        assert _valid_pop_order(batched, deg) == _valid_pop_order(stepped, deg), (step, deg)
+    return bool(raised)
+
+
+@pytest.mark.parametrize("start", sorted(ATTACH_RUN_STARTS))
+def test_attach2_run_matches_single_steps(start):
+    make = ATTACH_RUN_STARTS[start]
+    degrees = make().vdeg
+    for x in sorted(set(degrees)):
+        full = degrees.count(x) // 2
+        for k in sorted({0, min(1, full), min(2, full), full}):  # the runs the descent takes
+            assert not assert_plan_run_matches_steps(make, ("attach2", x, x, k), attach2_step)
+        for k in range(3):  # the single steps' other shape, and dry buckets
+            assert_plan_run_matches_steps(make, ("attach2", x, x + 1, k), attach2_step)
+            assert_plan_run_matches_steps(make, ("attach2", x, x, degrees.count(x) + k),
+                                          attach2_step)
+
+
+@pytest.mark.parametrize("start", sorted(ATTACH_RUN_STARTS))
+def test_edge_run_matches_single_steps(start):
+    make = ATTACH_RUN_STARTS[start]
+    degrees = make().vdeg
+    values = sorted(set(degrees))
+    for x in values:
+        full = degrees.count(x) // 2
+        for k in sorted({0, min(1, full), min(2, full), full}):  # the runs the descent takes
+            raised = assert_plan_run_matches_steps(make, ("edge", x, x, k), edge_step)
+            # A vertex listed twice at its degree can be both ends.
+            assert not raised or start == "repeated-entries", (x, k)
+        # Steps between two degrees, near x and at the ends, and dry buckets.
+        for y in sorted({x - 1, x + 1, values[0], values[-1]} & set(values)):
+            for k in (1, 2, degrees.count(x) + 1):
+                assert_plan_run_matches_steps(make, ("edge", x, y, k), edge_step)
+
+
+def test_edge_run_failure_keeps_the_edges_added():
+    g = build_fixed("multi", 5, [(0, 1, FLAG_T1), (1, 2, FLAG_T2), (2, 3, FLAG_NONE),
+                                 (3, 4, FLAG_NONE), (4, 0, FLAG_NONE)])
+    with pytest.raises(GraphError, match="degree 2"):
+        g.edge_run(2, 2, 3)  # five 2s make two edges
+    assert g.num_edges == 7 and g.validate()
+    assert g.eu[5:] == [0, 3] and g.ev[5:] == [4, 2]
+    assert g._pop_vertex(2) == 1  # the third step's first find, put back
+    # One vertex listed twice at its degree: the second pop finds it again.
+    g = build_fixed("multi", 2, [(0, 1, FLAG_NONE)])
+    g._buckets[1].append(1)
+    with pytest.raises(GraphError, match="self-loop"):
+        g.edge_run(1, 1)
+    assert g.num_edges == 1 and g.validate()
 
 
 def _k4_two_trees():

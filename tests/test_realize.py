@@ -1,12 +1,12 @@
 """Decision procedure and the constructive realization routes."""
 
 import gc
-import math
 import random
 import time
 
 import pytest
 
+from tcreal import realize
 from tcreal.degseq import DegreeSequence, set_debug_asserts
 from tcreal.realize import (
     Reason,
@@ -318,25 +318,61 @@ def test_nonstrict_multi_peel_scales_linearly():
     assert times[80_000] / times[40_000] <= 2.6, times
 
 
-def test_many_distinct_lays_off_its_2s_in_runs(monkeypatch):
-    # A count gate, not a timing gate: the descent of the many-distinct
-    # family (half of its entries 2s) takes one lay-off step per run of
-    # 2s, so the steps grow with its ~0.7 sqrt(n) distinct degrees, not
-    # with its n/2 entries of 2.  Each lay-off step calls
-    # lay_off_two_run once, whether or not a run applies.
-    calls = []
-    run = DegreeSequence.lay_off_two_run
+# The sums of the three routes the random inputs take: the central
+# 4-cycle boundary, the one-shared-edge boundary, and above 4(n-1).
+SPREAD_SUMS = {
+    "c4-boundary": lambda n: 4 * (n - 1) - 4,
+    "one-shared-boundary": lambda n: 4 * (n - 1) - 2,
+    "above": lambda n: 4 * (n - 1) + 2 * (n // 4),
+}
 
-    def counted(self, limit):
-        calls.append(limit)
-        return run(self, limit)
 
-    monkeypatch.setattr(DegreeSequence, "lay_off_two_run", counted)
+def _spread_degrees(route, n, mode):
+    """All 2s plus extra degree spread at random, seeded by n, summing to
+    the route's total; redrawn until realizable."""
+    rng = random.Random(n)
+    while True:
+        entries = [2] * n
+        for i in rng.choices(range(n), k=SPREAD_SUMS[route](n) - 2 * n):
+            entries[i] += 1
+        if check_tc_realizable(DegreeSequence(entries), mode).realizable:
+            return entries
+
+
+PLAN_INPUTS = {
+    "all-6": LARGE_FAMILIES["all-6"],
+    "many-distinct": LARGE_FAMILIES["many-distinct"],
+    **{route: (lambda n, mode, route=route: _spread_degrees(route, n, mode))
+       for route in SPREAD_SUMS},
+}
+
+
+@pytest.mark.parametrize("mode", ["simple", "multi"])
+@pytest.mark.parametrize("family", sorted(PLAN_INPUTS))
+def test_descent_plans_grow_with_distinct_degrees(monkeypatch, family, mode):
+    # A count gate, not a timing gate: every descent records one plan
+    # step per run of equal lay-offs, peeled edges or splits, so its
+    # plans grow with the distinct degrees, not with n.  The steps are
+    # counted where every plan is replayed.
+    steps = []
+    replay = realize._replay
+
+    def counted(g, plan):
+        steps.append(len(plan))
+        return replay(g, plan)
+
+    monkeypatch.setattr(realize, "_replay", counted)
+    make = PLAN_INPUTS[family]
     for n in (4_000, 64_000):
-        calls.clear()
-        build_one_shared(DegreeSequence(LARGE_FAMILIES["many-distinct"](n)))
-        distinct = round(0.7 * math.sqrt(n))
-        assert distinct <= len(calls) <= 2 * distinct + 10, (n, len(calls))
+        entries = make(n) if family in LARGE_FAMILIES else make(n, mode)
+        d = DegreeSequence(entries)
+        steps.clear()
+        if d.total == 4 * (n - 1) - 4:
+            build_c4_pivotable(d, mode)
+        else:
+            build_one_shared(d, mode)
+        distinct = len(set(entries))
+        assert sum(steps) <= 2 * distinct + 10, (n, distinct, steps)
 
 
 def _connected(g):
